@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "core/batch_eval.h"
+#include "core/output_layer_detail.h"
 #include "util/aligned_vector.h"
 #include "util/rng.h"
 #include "util/word_backend.h"
@@ -176,17 +177,30 @@ BitMatrix PoetBin::rinc_outputs(const BitMatrix& features) const {
   return out;
 }
 
-namespace {
+namespace detail {
 
-// One class's momentum update for an epoch. Shared by the scalar and
-// word-parallel paths — and kept out of line — so both compile to one
-// instruction sequence: separately inlined copies could contract the
-// multiply-adds differently and silently break their bit-identity.
-[[gnu::noinline]] void momentum_step(SparseOutputNeuron& neuron,
-                                     float* weight_velocity,
-                                     float& bias_velocity,
-                                     const float* weight_grad, float bias_grad,
-                                     float momentum, float flr) {
+std::vector<SparseOutputNeuron> seeded_output_neurons(std::size_t n_classes,
+                                                      std::size_t p,
+                                                      std::uint64_t seed) {
+  std::vector<SparseOutputNeuron> output(n_classes);
+  Rng rng(seed);
+  for (std::size_t c = 0; c < n_classes; ++c) {
+    SparseOutputNeuron& neuron = output[c];
+    neuron.input_modules.resize(p);
+    neuron.weights.resize(p);
+    for (std::size_t j = 0; j < p; ++j) {
+      neuron.input_modules[j] = c * p + j;
+      neuron.weights[j] =
+          static_cast<float>(rng.gaussian(0.0, std::sqrt(2.0 / p)));
+    }
+    neuron.bias = 0.0f;
+  }
+  return output;
+}
+
+void momentum_step(SparseOutputNeuron& neuron, float* weight_velocity,
+                   float& bias_velocity, const float* weight_grad,
+                   float bias_grad, float momentum, float flr) {
   for (std::size_t j = 0; j < neuron.weights.size(); ++j) {
     float& vel = weight_velocity[j];
     vel = momentum * vel - flr * weight_grad[j];
@@ -196,73 +210,40 @@ namespace {
   neuron.bias += bias_velocity;
 }
 
-// Reference path: full-batch gradient descent on the multi-class squared
-// hinge, one (example, class) pair at a time over pre-packed uint32 combos,
-// with momentum and exponential LR decay. Each logit depends only on its
-// own P weights, so gradients stay block-local (the sparse wiring). Kept
-// verbatim as the oracle the word-parallel path must reproduce bit for bit
-// (tests compare the trained neurons exactly).
-void train_output_scalar(std::vector<SparseOutputNeuron>& output,
-                         const BitMatrix& rinc_bits,
-                         const std::vector<int>& labels, std::size_t n_classes,
-                         std::size_t p, const OutputLayerConfig& ocfg) {
-  const std::size_t n = rinc_bits.rows();
-
-  // Pre-pack each example's P-bit combo per class (bits don't change during
-  // output-layer training).
-  std::vector<std::uint32_t> combos(n * n_classes, 0);
-  for (std::size_t c = 0; c < n_classes; ++c) {
-    for (std::size_t j = 0; j < p; ++j) {
-      const BitVector& column = rinc_bits.column(c * p + j);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (column.get(i)) combos[i * n_classes + c] |= 1u << j;
-      }
+QuantizerParams quantize_output_codes(std::vector<SparseOutputNeuron>& output,
+                                      std::size_t p, int quant_bits) {
+  const std::size_t n_combos = std::size_t{1} << p;
+  Matrix activations(output.size(), n_combos);
+  for (std::size_t c = 0; c < output.size(); ++c) {
+    for (std::size_t combo = 0; combo < n_combos; ++combo) {
+      activations(c, combo) = output[c].activation(combo);
     }
   }
-
-  std::vector<float> weight_velocity(n_classes * p, 0.0f);
-  std::vector<float> bias_velocity(n_classes, 0.0f);
-  double lr = ocfg.learning_rate;
-  const float momentum = 0.9f;
-
-  for (std::size_t epoch = 0; epoch < ocfg.epochs; ++epoch) {
-    std::vector<float> weight_grad(n_classes * p, 0.0f);
-    std::vector<float> bias_grad(n_classes, 0.0f);
-    const float inv_n = 1.0f / static_cast<float>(n);
-
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t c = 0; c < n_classes; ++c) {
-        const std::uint32_t combo = combos[i * n_classes + c];
-        const float logit = output[c].activation(combo);
-        const float target = (static_cast<std::size_t>(labels[i]) == c) ? 1.0f
-                                                                        : -1.0f;
-        const float hinge = 1.0f - target * logit;
-        if (hinge <= 0.0f) continue;
-        const float grad_logit = -2.0f * hinge * target * inv_n;
-        bias_grad[c] += grad_logit;
-        for (std::size_t j = 0; j < p; ++j) {
-          if ((combo >> j) & 1) weight_grad[c * p + j] += grad_logit;
-        }
-      }
+  const QuantizerParams quantizer = fit_quantizer(activations, quant_bits);
+  for (std::size_t c = 0; c < output.size(); ++c) {
+    output[c].codes.resize(n_combos);
+    for (std::size_t combo = 0; combo < n_combos; ++combo) {
+      output[c].codes[combo] = quantize_value(activations(c, combo), quantizer);
     }
-
-    const float flr = static_cast<float>(lr);
-    for (std::size_t c = 0; c < n_classes; ++c) {
-      momentum_step(output[c], weight_velocity.data() + c * p,
-                    bias_velocity[c], weight_grad.data() + c * p, bias_grad[c],
-                    momentum, flr);
-    }
-    lr *= ocfg.lr_decay;
   }
+  return quantizer;
 }
 
-// Word-parallel output-layer retraining, bit-identical to the scalar
-// oracle above. Three observations make that possible:
+}  // namespace detail
+
+namespace {
+
+// Output-layer retraining: full-batch gradient descent on the multi-class
+// squared hinge, with momentum and exponential LR decay. Each logit depends
+// only on its own P weights, so gradients stay block-local (the sparse
+// wiring). The pass is word-parallel and bit-identical to the per-example
+// scalar loop in reference/ (the test oracle). Three observations make that
+// possible:
 //
 //  1. An example's logit, hinge and gradient for class c are functions of
 //     its P-bit combo and its +-1 target alone, so the per-example float
 //     math collapses into per-(combo, target) tables computed once per
-//     class per epoch with the scalar path's exact expressions. Every
+//     class per epoch with the scalar loop's exact expressions. Every
 //     intermediate multiply is by +-1 or 2 — exact — so the rounding
 //     points cannot shift between the two computation shapes.
 //  2. "Is this example's hinge active" is therefore a boolean function of
@@ -284,12 +265,10 @@ void train_output_scalar(std::vector<SparseOutputNeuron>& output,
 // jobs share no float state and any thread count is bit-identical.
 // Example-chunk partials would have to be reduced in float and could not
 // match the scalar order.
-void train_output_word_parallel(std::vector<SparseOutputNeuron>& output,
-                                const BitMatrix& rinc_bits,
-                                const std::vector<int>& labels,
-                                std::size_t n_classes, std::size_t p,
-                                const OutputLayerConfig& ocfg,
-                                const BatchEngine* engine) {
+void train_output(std::vector<SparseOutputNeuron>& output,
+                  const BitMatrix& rinc_bits, const std::vector<int>& labels,
+                  std::size_t n_classes, std::size_t p,
+                  const OutputLayerConfig& ocfg, const BatchEngine* engine) {
   const std::size_t n = rinc_bits.rows();
   const std::size_t n_words = BitVector::words_needed(n);
   const std::uint64_t tail = BitVector::tail_word_mask(n);
@@ -328,7 +307,6 @@ void train_output_word_parallel(std::vector<SparseOutputNeuron>& output,
   std::vector<float> weight_velocity(n_classes * p, 0.0f);
   std::vector<float> bias_velocity(n_classes, 0.0f);
   double lr = ocfg.learning_rate;
-  const float momentum = 0.9f;
   const float inv_n = 1.0f / static_cast<float>(n);
   const std::uint32_t combo_mask = static_cast<std::uint32_t>(n_combos - 1);
   const WordOps& ops = word_ops();
@@ -398,8 +376,9 @@ void train_output_word_parallel(std::vector<SparseOutputNeuron>& output,
           act &= act - 1;
         }
       }
-      momentum_step(neuron, weight_velocity.data() + c * p, bias_velocity[c],
-                    weight_grad.data(), bias_grad, momentum, flr);
+      detail::momentum_step(neuron, weight_velocity.data() + c * p,
+                            bias_velocity[c], weight_grad.data(), bias_grad,
+                            detail::kOutputMomentum, flr);
     };
     if (engine != nullptr) {
       engine->parallel_for(n_classes, train_class);
@@ -427,45 +406,9 @@ void PoetBin::retrain_output_layer(const BitMatrix& rinc_bits,
   POETBIN_CHECK_MSG(labels.size() == n, "one class label per RINC output row");
   check_labels(labels, n_classes);
 
-  // Block wiring: output neuron c reads modules [c*P, (c+1)*P). Same RNG
-  // draw order in both training paths.
-  output_.assign(n_classes, SparseOutputNeuron{});
-  Rng rng(ocfg.seed);
-  for (std::size_t c = 0; c < n_classes; ++c) {
-    SparseOutputNeuron& neuron = output_[c];
-    neuron.input_modules.resize(p);
-    neuron.weights.resize(p);
-    for (std::size_t j = 0; j < p; ++j) {
-      neuron.input_modules[j] = c * p + j;
-      neuron.weights[j] =
-          static_cast<float>(rng.gaussian(0.0, std::sqrt(2.0 / p)));
-    }
-    neuron.bias = 0.0f;
-  }
-
-  if (ocfg.word_parallel) {
-    train_output_word_parallel(output_, rinc_bits, labels, n_classes, p, ocfg,
-                               engine);
-  } else {
-    train_output_scalar(output_, rinc_bits, labels, n_classes, p, ocfg);
-  }
-
-  // Shared quantizer scale over all neurons' reachable activations so raw
-  // codes are directly comparable in the hardware argmax.
-  const std::size_t n_combos = std::size_t{1} << p;
-  Matrix activations(n_classes, n_combos);
-  for (std::size_t c = 0; c < n_classes; ++c) {
-    for (std::size_t combo = 0; combo < n_combos; ++combo) {
-      activations(c, combo) = output_[c].activation(combo);
-    }
-  }
-  quantizer_ = fit_quantizer(activations, config_.output.quant_bits);
-  for (std::size_t c = 0; c < n_classes; ++c) {
-    output_[c].codes.resize(n_combos);
-    for (std::size_t combo = 0; combo < n_combos; ++combo) {
-      output_[c].codes[combo] = quantize_value(activations(c, combo), quantizer_);
-    }
-  }
+  output_ = detail::seeded_output_neurons(n_classes, p, ocfg.seed);
+  train_output(output_, rinc_bits, labels, n_classes, p, ocfg, engine);
+  quantizer_ = detail::quantize_output_codes(output_, p, ocfg.quant_bits);
   // The fused argmax reads the precomputed planes; keep them in sync with
   // the fresh codes (heap storage — a retrained mapping-backed model keeps
   // its module LUTs on the mapping but owns its new output layer).

@@ -36,15 +36,6 @@ struct OutputLayerConfig {
   double learning_rate = 0.05;
   double lr_decay = 0.99;
   std::uint64_t seed = 11;
-  // Word-parallel retraining: the squared-hinge active set is computed 64
-  // examples per word op (the per-example activation/compare disappears
-  // into per-combo tables + two lut_reduce passes on the active SIMD
-  // backend), saturated examples are skipped for free, and classes spread
-  // across the BatchEngine pool. Bit-identical weights/codes to the scalar
-  // path — the gradient adds themselves stay in ascending example order —
-  // at any thread count and on every backend; the scalar loop stays
-  // in-tree as the oracle.
-  bool word_parallel = true;
 };
 
 struct PoetBinConfig {
@@ -138,7 +129,7 @@ class PoetBin {
 
   // The scalar output-layer argmax over an already-materialized RINC bank
   // (n x >= nc*P). predict_dataset is rinc_outputs + this; the fused word
-  // pass and the Runtime's non-fused path must both match it bit for bit.
+  // pass must match it bit for bit.
   std::vector<int> predict_from_rinc_bits(const BitMatrix& rinc_bits) const;
 
   // Word-parallel (bitsliced + threaded) equivalents, bit-identical to the
@@ -165,10 +156,10 @@ class PoetBin {
   // the true labels, from the seeded init — the paper's A4 adaptation step,
   // exposed so a deployed model can re-adapt to new data without
   // re-distilling the RINC bank. Validates the label range and bank width.
-  // `engine`, when non-null, spreads classes across its pool (gradients are
-  // block-local per class, so any thread count is bit-identical);
-  // OutputLayerConfig.word_parallel picks the bitsliced or the scalar
-  // oracle path, which match bit for bit.
+  // The retrain is word-parallel and bit-identical to
+  // reference::train_output_layer (the per-example scalar loop) at any
+  // thread count and on every backend. `engine`, when non-null, spreads
+  // classes across its pool (gradients are block-local per class).
   void retrain_output_layer(const BitMatrix& rinc_bits,
                             const std::vector<int>& labels,
                             const BatchEngine* engine = nullptr);

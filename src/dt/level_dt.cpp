@@ -21,9 +21,9 @@ inline std::size_t column_bit(const std::uint64_t* words, std::size_t i) {
   return (words[i >> 6] >> (i & 63)) & 1ULL;
 }
 
-// Reference implementation: one node_id/target bit extraction per example
-// per candidate. Kept verbatim as the semantics the word-parallel path must
-// reproduce bit for bit (tests compare the two).
+// The scalar scan behind train_level_dt_scalar: one node_id/target bit
+// extraction per example per candidate — the semantics the word-parallel
+// scan must reproduce bit for bit (tests compare the two).
 LevelDtResult train_scalar(const BitMatrix& features, const BitVector& targets,
                            std::span<const double> weights,
                            const std::vector<std::size_t>& candidates,
@@ -365,12 +365,14 @@ LevelDtResult train_bitsliced(const BitMatrix& features,
   return result;
 }
 
-}  // namespace
-
-LevelDtResult train_level_dt(const BitMatrix& features, const BitVector& targets,
-                             std::span<const double> weights,
-                             const LevelDtConfig& config,
-                             const BatchEngine* engine) {
+// Argument validation shared by both entry points. Returns the candidate
+// features in tie-break order; when the caller passed no weights, fills
+// `uniform` and points `weights` at it.
+std::vector<std::size_t> validated_candidates(const BitMatrix& features,
+                                              const BitVector& targets,
+                                              std::span<const double>& weights,
+                                              std::vector<double>& uniform,
+                                              const LevelDtConfig& config) {
   const std::size_t n = features.rows();
   const std::size_t n_features = features.cols();
   POETBIN_CHECK(targets.size() == n);
@@ -378,7 +380,6 @@ LevelDtResult train_level_dt(const BitMatrix& features, const BitVector& targets
   POETBIN_CHECK_MSG(config.n_inputs <= 16, "LUT arity beyond hardware range");
   POETBIN_CHECK_MSG(n > 0, "cannot train on an empty dataset");
 
-  std::vector<double> uniform;
   if (weights.empty()) {
     uniform.assign(n, 1.0 / static_cast<double>(n));
     weights = uniform;
@@ -402,9 +403,21 @@ LevelDtResult train_level_dt(const BitMatrix& features, const BitVector& targets
       candidates.push_back(c);
     }
   }
-  const std::size_t depth = std::min(config.n_inputs, candidates.size());
-  POETBIN_CHECK_MSG(depth == config.n_inputs,
+  POETBIN_CHECK_MSG(candidates.size() >= config.n_inputs,
                     "not enough candidate features for the requested LUT arity");
+  return candidates;
+}
+
+}  // namespace
+
+LevelDtResult train_level_dt(const BitMatrix& features, const BitVector& targets,
+                             std::span<const double> weights,
+                             const LevelDtConfig& config,
+                             const BatchEngine* engine) {
+  std::vector<double> uniform;
+  const std::vector<std::size_t> candidates =
+      validated_candidates(features, targets, weights, uniform, config);
+  const std::size_t depth = config.n_inputs;
 
   // The recurrence carries one 2^P-double mass buffer per candidate at the
   // final level; cap the total and fall back to the scalar scan (identical
@@ -413,11 +426,22 @@ LevelDtResult train_level_dt(const BitMatrix& features, const BitVector& targets
   constexpr std::size_t kMaxCarriedBytes = std::size_t{1} << 28;  // 256 MiB
   const std::size_t carried_bytes =
       (candidates.size() << depth) * sizeof(double);
-  if (config.word_parallel && carried_bytes <= kMaxCarriedBytes) {
-    return train_bitsliced(features, targets, weights, candidates, depth,
-                           engine);
+  if (carried_bytes > kMaxCarriedBytes) {
+    return train_scalar(features, targets, weights, candidates, depth);
   }
-  return train_scalar(features, targets, weights, candidates, depth);
+  return train_bitsliced(features, targets, weights, candidates, depth,
+                         engine);
+}
+
+LevelDtResult train_level_dt_scalar(const BitMatrix& features,
+                                    const BitVector& targets,
+                                    std::span<const double> weights,
+                                    const LevelDtConfig& config,
+                                    const BatchEngine* /*engine*/) {
+  std::vector<double> uniform;
+  const std::vector<std::size_t> candidates =
+      validated_candidates(features, targets, weights, uniform, config);
+  return train_scalar(features, targets, weights, candidates, config.n_inputs);
 }
 
 }  // namespace poetbin

@@ -29,17 +29,6 @@ struct LevelDtConfig {
   // entries are deduplicated (first occurrence wins the tie-break order) and
   // features already used by this tree are always excluded, per Algorithm 1.
   std::vector<std::size_t> candidate_features;
-  // Word-parallel entropy scan: per-bucket class masses are gathered from
-  // the packed candidate-column words (64 examples per word op) instead of
-  // extracting one bit per example. Per-candidate scores agree with the
-  // scalar scan to accumulated rounding (masses are derived subtractively
-  // and carried across levels), so feature selection matches the scalar
-  // path unless two candidates score within a few ulps of each other —
-  // exact duplicates still tie exactly and resolve identically. Once
-  // selection matches, LUT contents, reported entropy and weighted error
-  // are bit-identical (they come from exact in-order rebuilds). The scalar
-  // path remains as the test reference.
-  bool word_parallel = true;
 };
 
 struct LevelDtResult {
@@ -52,14 +41,30 @@ struct LevelDtResult {
 
 // Trains Algorithm 1. `targets` holds the binary class per example;
 // `weights` must sum to something positive (Adaboost passes a distribution).
-// If `weights` is empty, uniform weights are used. When `engine` is non-null
-// and the word-parallel path is enabled, the per-level scan over candidate
-// features is spread across the engine's thread pool (results are identical
-// at any thread count: each candidate's score is computed independently and
-// the argmin keeps the scalar tie-break order).
+// If `weights` is empty, uniform weights are used.
+//
+// The entropy scan is word-parallel: class masses are gathered from packed
+// candidate-column words, 64 examples per word op. Candidate scores agree
+// with train_level_dt_scalar to accumulated rounding, so feature selection
+// matches unless two candidates score within a few ulps (exact duplicates
+// tie identically); given the same selection, the LUT, entropy and weighted
+// error are bit-identical. A non-null `engine` spreads each level's
+// candidate scan over its pool, with identical results at any thread count.
+// When the carried per-candidate mass buffers (candidates x 2^P doubles)
+// would exceed 256 MiB, the fit runs the scalar scan instead.
 LevelDtResult train_level_dt(const BitMatrix& features, const BitVector& targets,
                              std::span<const double> weights,
                              const LevelDtConfig& config,
                              const BatchEngine* engine = nullptr);
+
+// The serial scalar scan, one bit extraction per example per candidate:
+// the production path for oversized inputs and the semantics the
+// word-parallel scan reproduces. Same arguments and validation as
+// train_level_dt; `engine` is accepted for signature parity and unused.
+LevelDtResult train_level_dt_scalar(const BitMatrix& features,
+                                    const BitVector& targets,
+                                    std::span<const double> weights,
+                                    const LevelDtConfig& config,
+                                    const BatchEngine* engine = nullptr);
 
 }  // namespace poetbin

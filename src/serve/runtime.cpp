@@ -234,13 +234,7 @@ std::vector<int> Runtime::predict_on(const ModelVersion& version,
     conv_bits = version.conv->eval_dataset_batched(features, *state_->engine);
     input = &conv_bits;
   }
-  if (state_->options.fused_argmax) {
-    return state_->engine->predict_dataset(version.model, *input);
-  }
-  // Debug path: materialize the RINC bank word-parallel, then run the
-  // scalar argmax — the exact loop predict_dataset's fused pass must match.
-  return version.model.predict_from_rinc_bits(
-      state_->engine->rinc_outputs(version.model, *input));
+  return state_->engine->predict_dataset(version.model, *input);
 }
 
 std::vector<int> Runtime::predict(const BitMatrix& features) const {

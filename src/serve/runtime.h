@@ -36,9 +36,9 @@
 // and the same swap semantics (an A/B candidate, a per-tenant variant).
 //
 // Every path is bit-identical to the scalar PoetBin reference: predict()
-// runs the fused bitsliced argmax (or, with fused_argmax = false, a
-// materialized rinc_outputs + the scalar argmax loop), and predict_one()
-// is the scalar per-example evaluation.
+// runs the fused bitsliced argmax (one path; tests compare it against
+// PoetBin::predict_from_rinc_bits over a materialized RINC bank), and
+// predict_one() is the scalar per-example evaluation.
 //
 // Concurrency contract: everything here may be called concurrently.
 // Dataset-level requests (predict / rinc_outputs / accuracy and the dataset
@@ -83,11 +83,6 @@ struct RuntimeOptions {
   // (the CPUID-probed default, or whatever POETBIN_FORCE_BACKEND or an
   // earlier Runtime pinned).
   std::optional<WordBackend> forced_backend;
-  // Fuse the output-layer argmax into the bitsliced word pass (no
-  // materialized rinc_outputs matrix). Off = evaluate the RINC bank
-  // word-parallel, then run the scalar argmax over the materialized bank —
-  // same results bit for bit, useful for debugging the fused path.
-  bool fused_argmax = true;
   // Size in bytes of the lock-free prediction cache
   // (serve/predict_cache.h) in front of the primary model's predict_one
   // path and the MicroBatcher's fused windows. 0 disables caching — the

@@ -1,8 +1,9 @@
-// Word-parallel output-layer retraining vs the scalar oracle: bit-identical
-// trained neurons (weights, biases, quantized codes) on ragged dataset
-// sizes, degenerate configs (zero epochs, one class), every available SIMD
-// backend and any thread count — plus the input-validation regressions
-// (label range, RINC bank width).
+// Word-parallel output-layer retraining vs the scalar oracle
+// (reference::train_output_layer): bit-identical trained neurons (weights,
+// biases, quantized codes) on ragged dataset sizes, degenerate configs
+// (zero epochs, one class), every available SIMD backend and any thread
+// count — plus the input-validation regressions (label range, RINC bank
+// width).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include "core/batch_eval.h"
 #include "core/poetbin.h"
 #include "dt/lut.h"
+#include "reference/reference.h"
 #include "test_util.h"
 #include "util/word_backend.h"
 
@@ -55,36 +57,39 @@ std::vector<int> random_labels(std::size_t n, std::size_t n_classes,
   return labels;
 }
 
-void expect_same_output_layer(const PoetBin& a, const PoetBin& b,
+void expect_same_output_layer(const std::vector<SparseOutputNeuron>& a,
+                              const QuantizerParams& qa, const PoetBin& b,
                               std::size_t n) {
-  ASSERT_EQ(a.output_neurons().size(), b.output_neurons().size()) << "n=" << n;
-  for (std::size_t c = 0; c < a.output_neurons().size(); ++c) {
-    const SparseOutputNeuron& na = a.output_neurons()[c];
+  ASSERT_EQ(a.size(), b.output_neurons().size()) << "n=" << n;
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    const SparseOutputNeuron& na = a[c];
     const SparseOutputNeuron& nb = b.output_neurons()[c];
     EXPECT_EQ(na.input_modules, nb.input_modules) << "n=" << n << " c=" << c;
     EXPECT_EQ(na.weights, nb.weights) << "n=" << n << " c=" << c;
     EXPECT_EQ(na.bias, nb.bias) << "n=" << n << " c=" << c;
     EXPECT_EQ(na.codes, nb.codes) << "n=" << n << " c=" << c;
   }
-  EXPECT_EQ(a.quantizer().bits, b.quantizer().bits) << "n=" << n;
-  EXPECT_EQ(a.quantizer().min_value, b.quantizer().min_value) << "n=" << n;
-  EXPECT_EQ(a.quantizer().max_value, b.quantizer().max_value) << "n=" << n;
+  EXPECT_EQ(qa.bits, b.quantizer().bits) << "n=" << n;
+  EXPECT_EQ(qa.min_value, b.quantizer().min_value) << "n=" << n;
+  EXPECT_EQ(qa.max_value, b.quantizer().max_value) << "n=" << n;
 }
 
-// Retrains two identical shells, scalar vs word-parallel, on the same bank.
+void expect_same_output_layer(const reference::OutputLayerFit& scalar,
+                              const PoetBin& word, std::size_t n) {
+  expect_same_output_layer(scalar.neurons, scalar.quantizer, word, n);
+}
+
+// Fits the scalar oracle and retrains a word-parallel shell on the same bank.
 void run_compare(std::size_t n, std::size_t n_classes, std::size_t p,
                  std::size_t epochs, const BatchEngine* engine = nullptr) {
   const BitMatrix bank = random_bits(n, n_classes * p, 1000 + n);
   const std::vector<int> labels = random_labels(n, n_classes, 2000 + n);
-  OutputLayerConfig scalar_cfg;
-  scalar_cfg.epochs = epochs;
-  scalar_cfg.word_parallel = false;
-  OutputLayerConfig word_cfg = scalar_cfg;
-  word_cfg.word_parallel = true;
+  OutputLayerConfig cfg;
+  cfg.epochs = epochs;
 
-  PoetBin scalar = make_shell(n_classes, p, scalar_cfg);
-  scalar.retrain_output_layer(bank, labels);
-  PoetBin word = make_shell(n_classes, p, word_cfg);
+  const reference::OutputLayerFit scalar =
+      reference::train_output_layer(bank, labels, n_classes, p, cfg);
+  PoetBin word = make_shell(n_classes, p, cfg);
   word.retrain_output_layer(bank, labels, engine);
   expect_same_output_layer(scalar, word, n);
 }
@@ -115,18 +120,15 @@ TEST(OutputLayerRetrain, BitIdenticalOnEveryBackend) {
   const std::size_t n = 500;
   const BitMatrix bank = random_bits(n, 5 * 4, 77);
   const std::vector<int> labels = random_labels(n, 5, 78);
-  OutputLayerConfig scalar_cfg;
-  scalar_cfg.epochs = 50;
-  scalar_cfg.word_parallel = false;
-  PoetBin scalar = make_shell(5, 4, scalar_cfg);
-  scalar.retrain_output_layer(bank, labels);
+  OutputLayerConfig cfg;
+  cfg.epochs = 50;
+  const reference::OutputLayerFit scalar =
+      reference::train_output_layer(bank, labels, 5, 4, cfg);
 
-  OutputLayerConfig word_cfg = scalar_cfg;
-  word_cfg.word_parallel = true;
   BackendGuard guard;
   for (const auto backend : available_word_backends()) {
     set_word_backend(backend);
-    PoetBin word = make_shell(5, 4, word_cfg);
+    PoetBin word = make_shell(5, 4, cfg);
     word.retrain_output_layer(bank, labels);
     SCOPED_TRACE(word_backend_name(backend));
     expect_same_output_layer(scalar, word, n);
@@ -146,13 +148,14 @@ TEST(OutputLayerRetrain, ThreadCountDoesNotChangeWeights) {
     const BatchEngine engine(threads);
     PoetBin threaded = make_shell(6, 4, cfg);
     threaded.retrain_output_layer(bank, labels, &engine);
-    expect_same_output_layer(serial, threaded, n);
+    expect_same_output_layer(serial.output_neurons(), serial.quantizer(),
+                             threaded, n);
   }
 }
 
-// End-to-end: PoetBin::train with the flag toggled distils identical RINC
-// banks (distillation ignores the output config), so the full models must
-// match neuron for neuron and prediction for prediction.
+// End-to-end: the output layer PoetBin::train fits must match the scalar
+// oracle fitted on the model's own RINC bank neuron for neuron, and a model
+// assembled from the oracle's layer must predict identically.
 TEST(OutputLayerRetrain, EndToEndTrainMatchesScalarPath) {
   const std::size_t n = 400;
   const auto data = testing::prototype_dataset(n, 48, 5);
@@ -175,13 +178,14 @@ TEST(OutputLayerRetrain, EndToEndTrainMatchesScalarPath) {
   config.rinc.levels = 1;
   config.rinc.total_dts = 3;
   config.output.epochs = 60;
-  config.output.word_parallel = false;
-  const PoetBin scalar =
-      PoetBin::train(data.features, intermediate, labels, config);
-  config.output.word_parallel = true;
   const PoetBin word =
       PoetBin::train(data.features, intermediate, labels, config);
-  expect_same_output_layer(scalar, word, n);
+  const reference::OutputLayerFit fit = reference::train_output_layer(
+      word.rinc_outputs(data.features), labels, config.n_classes,
+      config.rinc.lut_inputs, config.output);
+  expect_same_output_layer(fit, word, n);
+  const PoetBin scalar =
+      PoetBin::from_parts(config, word.modules(), fit.neurons, fit.quantizer);
   EXPECT_EQ(scalar.predict_dataset(data.features),
             word.predict_dataset(data.features));
 }
@@ -199,10 +203,8 @@ TEST(OutputLayerRetrain, ToleratesDirtyColumnTailWords) {
   const std::vector<int> labels = random_labels(n, 3, 56);
   OutputLayerConfig cfg;
   cfg.epochs = 30;
-  cfg.word_parallel = false;
-  PoetBin scalar = make_shell(3, 4, cfg);
-  scalar.retrain_output_layer(clean, labels);
-  cfg.word_parallel = true;
+  const reference::OutputLayerFit scalar =
+      reference::train_output_layer(clean, labels, 3, 4, cfg);
   PoetBin word = make_shell(3, 4, cfg);
   word.retrain_output_layer(dirty, labels);
   expect_same_output_layer(scalar, word, n);

@@ -1,7 +1,8 @@
 // Serving-layer contract: a Runtime (loaded from disk or trained in
 // memory) and a MicroBatcher on top of it must reproduce the scalar
 // PoetBin reference bit for bit — under every SIMD word backend, at any
-// thread count, fused or not, and under concurrent producers.
+// thread count, against the materialized RINC bank, and under concurrent
+// producers.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/batch_eval.h"
 #include "core/serialize.h"
 #include "serve/micro_batcher.h"
 #include "serve/runtime.h"
@@ -59,15 +61,18 @@ const ServeFixture& fixture() {
   return *fx;
 }
 
+// The fused argmax against the materialized path: the same RINC bank
+// evaluated word-parallel on an engine, then the scalar argmax over it.
 TEST(Runtime, PredictMatchesScalarFusedAndMaterialized) {
   const ServeFixture& fx = fixture();
-  for (const bool fused : {true, false}) {
-    const Runtime runtime(fx.model, {.threads = 2, .fused_argmax = fused});
-    EXPECT_EQ(runtime.predict(fx.data.features), fx.scalar_preds)
-        << "fused=" << fused;
-    EXPECT_DOUBLE_EQ(runtime.accuracy(fx.data.features, fx.data.labels),
-                     fx.scalar_accuracy);
-  }
+  const Runtime runtime(fx.model, {.threads = 2});
+  const BatchEngine engine(2);
+  const std::vector<int> materialized = fx.model.predict_from_rinc_bits(
+      engine.rinc_outputs(fx.model, fx.data.features));
+  EXPECT_EQ(materialized, fx.scalar_preds);
+  EXPECT_EQ(runtime.predict(fx.data.features), materialized);
+  EXPECT_DOUBLE_EQ(runtime.accuracy(fx.data.features, fx.data.labels),
+                   fx.scalar_accuracy);
 }
 
 TEST(Runtime, PredictOneMatchesScalar) {

@@ -23,6 +23,14 @@ Rules (each with the incident that motivated it):
                          signatures never reappear — they constructed a
                          thread pool per call (PR 5's churn bug); callers
                          pass a BatchEngine.
+  no-scalar-toggles      The removed scalar-path toggles never reappear in
+                         shipping code (src/, examples/, tools/*.cpp): the
+                         `word_parallel` / `word_parallel_training` /
+                         `fused_argmax` config fields and the CLI's
+                         `--scalar` flag. Each operation ships one
+                         production path; the scalar oracles live in the
+                         test/bench-only reference/ library, which src/
+                         must never include.
   frame-payload-bound    Byte-size constants declared in the wire protocol
                          stay within kMaxFramePayload; a constant that
                          outgrows the frame cap would make the server
@@ -168,6 +176,38 @@ def check_no_batched_shims(root):
     return violations
 
 
+# --- rule: no-scalar-toggles ------------------------------------------------
+
+SCALAR_TOGGLE = re.compile(
+    r"\b(word_parallel(?:_training)?|fused_argmax)\b|(--scalar)(?![\w-])")
+REFERENCE_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"]reference/')
+
+
+def check_no_scalar_toggles(root):
+    violations = []
+    shipping = list(iter_files(root, ["src", "examples"], CXX_EXTENSIONS))
+    shipping += list(iter_files(root, ["tools"], (".cpp",)))
+    for path in shipping:
+        in_src = relpath(root, path).startswith("src" + os.sep)
+        for i, line in enumerate(read_lines(path)):
+            if allow_marker("no-scalar-toggles", line):
+                continue
+            if in_src and REFERENCE_INCLUDE.search(line):
+                violations.append(Violation(
+                    "no-scalar-toggles", relpath(root, path), i + 1,
+                    "src/ includes the reference/ oracles — they are a "
+                    "test/bench-only library that libpoetbin never links"))
+                continue
+            match = SCALAR_TOGGLE.search(line.split("//", 1)[0])
+            if match:
+                violations.append(Violation(
+                    "no-scalar-toggles", relpath(root, path), i + 1,
+                    f"'{match.group(1) or match.group(2)}' was a removed "
+                    "scalar-path toggle — ship one production path and "
+                    "compare against the reference/ oracles in tests"))
+    return violations
+
+
 # --- rule: frame-payload-bound ----------------------------------------------
 
 CONSTEXPR_BYTES = re.compile(
@@ -273,6 +313,7 @@ RULES = [
     check_memory_order_comment,
     check_atomic_model_publish,
     check_no_batched_shims,
+    check_no_scalar_toggles,
     check_frame_payload_bound,
     check_no_rand_time,
     check_tsan_supp_clean,
@@ -319,6 +360,12 @@ SELF_TEST_VIOLATIONS = [
     ("no-batched-shims", "src/core/bad_shim.h",
      "std::vector<int> predict_dataset_batched(const BitMatrix& x, "
      "std::size_t n_threads);\n"),
+    ("no-scalar-toggles", "examples/bad_toggle.cpp",
+     "  config.output.word_parallel = false;\n"),
+    ("no-scalar-toggles", "tools/bad_flag.cpp",
+     '    if (std::strcmp(argv[i], "--scalar") == 0) scalar = true;\n'),
+    ("no-scalar-toggles", "src/core/bad_reference.cpp",
+     '#include "reference/reference.h"\n'),
     ("frame-payload-bound", "src/serve/protocol.h",
      CLEAN_PROTOCOL +
      "inline constexpr std::uint32_t kStatsPayloadBytes = 1u << 21;\n"),
@@ -364,8 +411,10 @@ def self_test():
         for failure in failures:
             print("  " + failure)
         return 1
-    print(f"self-test OK: all {len(SELF_TEST_VIOLATIONS)} rules fire on "
-          "seeded violations and pass a clean tree")
+    n_rules = len({rule for rule, _, _ in SELF_TEST_VIOLATIONS})
+    print(f"self-test OK: all {n_rules} rules fire on their "
+          f"{len(SELF_TEST_VIOLATIONS)} seeded violations and pass a clean "
+          "tree")
     return 0
 
 

@@ -48,7 +48,8 @@ cd "${repo_root}"
 
 # First-party translation units only; _deps/ (GoogleTest) is not ours.
 list_all() {
-  git ls-files 'src/**/*.cpp' 'tests/*.cpp' 'bench/*.cpp' 'examples/*.cpp'
+  git ls-files 'src/**/*.cpp' 'reference/*.cpp' 'tests/*.cpp' 'bench/*.cpp' \
+    'examples/*.cpp'
 }
 
 list_changed() {
@@ -64,15 +65,16 @@ list_changed() {
   # grep over includes so a header-only change still gets its users linted.
   local files headers
   files="$(git diff --name-only --diff-filter=d "${base}" -- \
-             'src/**/*.cpp' 'tests/*.cpp' 'bench/*.cpp' 'examples/*.cpp')"
+             'src/**/*.cpp' 'reference/*.cpp' 'tests/*.cpp' 'bench/*.cpp' \
+             'examples/*.cpp')"
   headers="$(git diff --name-only --diff-filter=d "${base}" -- \
-               'src/**/*.h' 'tests/*.h')"
+               'src/**/*.h' 'reference/*.h' 'tests/*.h')"
   if [[ -n "${headers}" ]]; then
     local header users
     while IFS= read -r header; do
       [[ -z "${header}" ]] && continue
       users="$(grep -rl --include='*.cpp' -F "$(basename "${header}")" \
-                 src tests bench examples 2>/dev/null || true)"
+                 src reference tests bench examples 2>/dev/null || true)"
       files="$(printf '%s\n%s' "${files}" "${users}")"
     done <<< "${headers}"
   fi
