@@ -13,6 +13,9 @@
 // predict_dataset on a 10-class model, and the serving section times
 // MicroBatcher predict_one traffic (window 64) against the scalar
 // one-example-at-a-time loop (gate: >= 5x at P=6, serve_microbatch_* rows).
+// The window rows time one 64-row serving window per backend against its
+// op count at the backend's lut_reduce peak (window_predict_ms_<backend>)
+// and the MicroBatcher's pack and handoff around it (window_pack_ms).
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -26,6 +29,7 @@
 #include "nn/quantize.h"
 #include "serve/micro_batcher.h"
 #include "serve/runtime.h"
+#include "util/aligned_vector.h"
 #include "util/bit_matrix.h"
 #include "util/rng.h"
 #include "util/word_backend.h"
@@ -112,6 +116,54 @@ double time_best_of(std::size_t reps, const Fn& fn) {
     best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
   }
   return best;
+}
+
+// Word muxes one output word of `module` costs: 2^k - 1 per k-input LUT.
+std::uint64_t module_muxes(const RincModule& module) {
+  std::uint64_t muxes = (std::uint64_t{1} << module.fanin()) - 1;
+  for (const RincModule& child : module.children()) {
+    muxes += module_muxes(child);
+  }
+  return muxes;
+}
+
+// Word muxes of one fused predict word: the RINC bank plus every output
+// neuron's code planes (each a P-input table). The argmax comparator and
+// the un-slicing are not muxes and are left out.
+std::uint64_t predict_muxes(const PoetBin& model) {
+  std::uint64_t muxes = 0;
+  for (const RincModule& module : model.modules()) {
+    muxes += module_muxes(module);
+  }
+  const std::uint64_t plane_muxes =
+      (std::uint64_t{1} << model.lut_inputs()) - 1;
+  return muxes + model.n_classes() * model.code_plane_count() * plane_muxes;
+}
+
+// The active backend's lut_reduce peak in word muxes per second: an
+// arity-`arity` table over a cache-resident 256-word block, best of a few
+// timed batches.
+double lut_reduce_peak(std::size_t arity) {
+  constexpr std::size_t kWords = 256;
+  Rng rng(17);
+  std::vector<std::uint64_t> splat(std::size_t{1} << arity);
+  for (auto& word : splat) word = rng.next_bool() ? ~0ULL : 0ULL;
+  WordVec columns(arity * kWords);
+  for (auto& word : columns) word = rng.next_u64();
+  std::vector<const std::uint64_t*> column_ptrs(arity);
+  for (std::size_t j = 0; j < arity; ++j) {
+    column_ptrs[j] = columns.data() + j * kWords;
+  }
+  WordVec out(kWords);
+  const WordOps& ops = word_ops();
+  constexpr std::size_t kCalls = 64;
+  const double seconds = time_best_of(20, [&] {
+    for (std::size_t c = 0; c < kCalls; ++c) {
+      ops.lut_reduce(splat.data(), arity, column_ptrs.data(), 0, 0, kWords,
+                     out.data());
+    }
+  });
+  return static_cast<double>(splat.size() - 1) * kWords * kCalls / seconds;
 }
 
 void report(const char* label, double seconds, std::size_t n_examples,
@@ -309,6 +361,74 @@ int main() {
       if (serve_speedup < 5.0) pass = false;
     }
     std::printf("\n");
+  }
+
+  // --- One serving window, priced against its op count --------------------
+  // A MicroBatcher window of 64 requests is one word of the fused pass:
+  // the same predict_dataset -> lut_reduce path as the offline rows, with
+  // every kernel call covering a single word. Its expected cost is the
+  // window's word muxes at the backend's lut_reduce peak; efficiency is
+  // expected / measured. The pack row is the rest of a MicroBatcher window
+  // (64 submits, the pack, flush, 64 gets) beyond its Runtime::predict.
+  {
+    constexpr std::size_t kWindow = 64;
+    constexpr std::size_t kWindowReps = 2000;
+    const std::size_t p = 6;
+    const PoetBin model = random_model(p, n_features, rng);
+    const BitMatrix window = random_bits(kWindow, n_features, 4321);
+    const std::vector<int> expected = model.predict_dataset(window);
+    const Runtime runtime(model, {.threads = 1});
+    const double muxes = static_cast<double>(predict_muxes(model));
+    std::printf("One serving window, 10 classes, P=%zu, %zu rows "
+                "(%.0f word muxes):\n",
+                p, kWindow, muxes);
+    double default_predict_s = 0.0;
+    for (const auto backend : backends) {
+      set_word_backend(backend);
+      std::vector<int> got;
+      const double predict_s =
+          time_best_of(kWindowReps, [&] { got = runtime.predict(window); });
+      if (got != expected) {
+        std::printf("  ERROR: window predict (%s) disagrees with scalar\n",
+                    word_backend_name(backend));
+        return 1;
+      }
+      const double peak = lut_reduce_peak(p);
+      const double expected_s = muxes / peak;
+      std::printf("  window predict (%-8s)  %8.4f ms  op count at peak "
+                  "%8.4f ms (%.2e mux/s)  efficiency %.3f\n",
+                  word_backend_name(backend), 1e3 * predict_s,
+                  1e3 * expected_s, peak, expected_s / predict_s);
+      char key[64];
+      std::snprintf(key, sizeof key, "window_predict_ms_%s",
+                    word_backend_name(backend));
+      json.add(key, 1e3 * predict_s);
+      if (backend == default_backend) default_predict_s = predict_s;
+    }
+    set_word_backend(default_backend);
+
+    std::vector<BitVector> rows;
+    rows.reserve(kWindow);
+    for (std::size_t i = 0; i < kWindow; ++i) rows.push_back(window.row(i));
+    MicroBatcher batcher(runtime, {.max_batch = kWindow});
+    std::vector<MicroBatcher::Ticket> tickets;
+    tickets.reserve(kWindow);
+    std::vector<int> served(kWindow);
+    const double batcher_s = time_best_of(kWindowReps, [&] {
+      tickets.clear();
+      for (const BitVector& row : rows) tickets.push_back(batcher.submit(row));
+      batcher.flush();
+      for (std::size_t i = 0; i < kWindow; ++i) served[i] = tickets[i].get();
+    });
+    if (served != expected) {
+      std::printf("  ERROR: micro-batched window disagrees with scalar\n");
+      return 1;
+    }
+    const double pack_s = batcher_s - default_predict_s;
+    std::printf("  MicroBatcher window        %8.4f ms  (pack and handoff "
+                "%.4f ms beyond the predict)\n\n",
+                1e3 * batcher_s, 1e3 * pack_s);
+    json.add("window_pack_ms", 1e3 * pack_s);
   }
 
   json.add("acceptance_pass", pass ? 1.0 : 0.0);

@@ -34,15 +34,84 @@ std::uint64_t tail_mask(std::size_t n_rows) {
 // itself — the 2^P - 1 word muxes per output word — runs on the active SIMD
 // word backend; only the dataset's last word needs the tail re-masked.
 void reduce_words(const std::uint64_t* splat, std::size_t arity,
-                  const std::vector<const std::uint64_t*>& columns,
-                  std::size_t word_begin, std::size_t word_end,
-                  std::size_t base, std::size_t n_rows, std::uint64_t* out) {
-  word_ops().lut_reduce(splat, arity, columns.data(), base, word_begin,
-                        word_end, out);
+                  const std::uint64_t* const* columns, std::size_t word_begin,
+                  std::size_t word_end, std::size_t base, std::size_t n_rows,
+                  std::uint64_t* out) {
+  word_ops().lut_reduce(splat, arity, columns, base, word_begin, word_end,
+                        out);
   const std::size_t last_word = BitVector::words_needed(n_rows);
   if (word_begin < word_end && word_end == last_word) {
     out[word_end - 1 - word_begin] &= tail_mask(n_rows);
   }
+}
+
+// Per-thread scratch of the RINC walks, one frame per tree depth: that
+// level's child output words and its LUT column pointers. A frame grows on
+// first use and is reused by every later walk, so a warm walk allocates
+// nothing. A deeper frame growing never moves a shallower frame's buffer
+// (each frame owns its own heap block), so pointers a walk holds across
+// its children's walks stay valid.
+struct WalkScratch {
+  std::vector<WordVec> words;
+  std::vector<std::vector<const std::uint64_t*>> columns;
+};
+
+WalkScratch& walk_scratch() {
+  static thread_local WalkScratch scratch;
+  return scratch;
+}
+
+// Depth `depth`'s column-pointer frame, grown to at least n entries.
+const std::uint64_t** column_frame(WalkScratch& scratch, std::size_t depth,
+                                   std::size_t n) {
+  if (scratch.columns.size() <= depth) scratch.columns.resize(depth + 1);
+  std::vector<const std::uint64_t*>& frame = scratch.columns[depth];
+  if (frame.size() < n) frame.resize(n);
+  return frame.data();
+}
+
+// Depth `depth`'s child-output frame, grown to at least n words.
+std::uint64_t* word_frame(WalkScratch& scratch, std::size_t depth,
+                          std::size_t n) {
+  if (scratch.words.size() <= depth) scratch.words.resize(depth + 1);
+  WordVec& frame = scratch.words[depth];
+  if (frame.size() < n) frame.resize(n);
+  return frame.data();
+}
+
+// The RINC hierarchy as a DAG of word ops: children are reduced into
+// chunk-rebased scratch words, then the MAT LUT combines them. No fan-in
+// cap: packed files allow fan-in up to 16. `leaf_column(i)` resolves leaf
+// input i to its absolute-indexed column words.
+template <typename LeafColumn>
+void walk_rinc(const RincModule& module, const LeafColumn& leaf_column,
+               std::size_t n_rows, std::size_t word_begin,
+               std::size_t word_end, WalkScratch& scratch, std::size_t depth,
+               std::uint64_t* out) {
+  if (module.is_leaf()) {
+    const Lut& lut = module.leaf_lut();
+    const std::size_t arity = lut.arity();
+    const std::uint64_t** columns = column_frame(scratch, depth, arity);
+    for (std::size_t j = 0; j < arity; ++j) {
+      columns[j] = leaf_column(lut.inputs()[j]);
+    }
+    reduce_words(lut.splat_words().data(), arity, columns, word_begin,
+                 word_end, /*base=*/0, n_rows, out);
+    return;
+  }
+  const auto& children = module.children();
+  const std::size_t fanin = children.size();
+  const std::size_t n_words = word_end - word_begin;
+  std::uint64_t* child_words = word_frame(scratch, depth, fanin * n_words);
+  const std::uint64_t** columns = column_frame(scratch, depth, fanin);
+  for (std::size_t c = 0; c < fanin; ++c) {
+    columns[c] = child_words + c * n_words;
+    walk_rinc(children[c], leaf_column, n_rows, word_begin, word_end, scratch,
+              depth + 1, child_words + c * n_words);
+  }
+  // Child buffers are rebased to the chunk, hence base = word_begin.
+  reduce_words(module.mat_lut().splat_words().data(), fanin, columns,
+               word_begin, word_end, word_begin, n_rows, out);
 }
 
 }  // namespace
@@ -53,35 +122,25 @@ void eval_lut_words(const Lut& lut, const BitMatrix& features,
   POETBIN_CHECK(word_begin <= word_end);
   POETBIN_CHECK(word_end <= features.word_count());
   const std::size_t arity = lut.arity();
-  std::vector<const std::uint64_t*> columns(arity);
+  const std::uint64_t** columns = column_frame(walk_scratch(), 0, arity);
   for (std::size_t j = 0; j < arity; ++j) {
-    POETBIN_CHECK(lut.inputs()[j] < features.cols());
     columns[j] = features.column_words(lut.inputs()[j]).data();
   }
-  reduce_words(lut.splat_words().data(), arity, columns, word_begin, word_end,
-               /*base=*/0, features.rows(), out);
+  reduce_words(lut.splat_words().data(), arity, columns, word_begin,
+               word_end, /*base=*/0, features.rows(), out);
 }
 
 void eval_rinc_words(const RincModule& module, const BitMatrix& features,
                      std::size_t word_begin, std::size_t word_end,
                      std::uint64_t* out) {
-  if (module.is_leaf()) {
-    eval_lut_words(module.leaf_lut(), features, word_begin, word_end, out);
-    return;
-  }
-  const auto& children = module.children();
-  const std::size_t n_words = word_end - word_begin;
-  std::vector<WordVec> child_words(children.size());
-  std::vector<const std::uint64_t*> columns(children.size());
-  for (std::size_t c = 0; c < children.size(); ++c) {
-    child_words[c].resize(n_words);
-    eval_rinc_words(children[c], features, word_begin, word_end,
-                    child_words[c].data());
-    columns[c] = child_words[c].data();
-  }
-  // Child buffers are rebased to the chunk, hence base = word_begin.
-  reduce_words(module.mat_lut().splat_words().data(), children.size(), columns,
-               word_begin, word_end, word_begin, features.rows(), out);
+  POETBIN_CHECK(word_begin <= word_end);
+  POETBIN_CHECK(word_end <= features.word_count());
+  walk_rinc(
+      module,
+      [&features](std::size_t input) {
+        return features.column_words(input).data();
+      },
+      features.rows(), word_begin, word_end, walk_scratch(), 0, out);
 }
 
 void eval_rinc_patch_words(const RincModule& module,
@@ -91,31 +150,13 @@ void eval_rinc_patch_words(const RincModule& module,
                            std::uint64_t* out) {
   POETBIN_CHECK(word_begin <= word_end);
   POETBIN_CHECK(word_end <= BitVector::words_needed(n_rows));
-  if (module.is_leaf()) {
-    const Lut& lut = module.leaf_lut();
-    const std::size_t arity = lut.arity();
-    std::vector<const std::uint64_t*> columns(arity);
-    for (std::size_t j = 0; j < arity; ++j) {
-      POETBIN_CHECK(lut.inputs()[j] < n_patch_bits);
-      columns[j] = patch_columns[lut.inputs()[j]];
-    }
-    reduce_words(lut.splat_words().data(), arity, columns, word_begin,
-                 word_end, /*base=*/0, n_rows, out);
-    return;
-  }
-  const auto& children = module.children();
-  const std::size_t n_words = word_end - word_begin;
-  std::vector<WordVec> child_words(children.size());
-  std::vector<const std::uint64_t*> columns(children.size());
-  for (std::size_t c = 0; c < children.size(); ++c) {
-    child_words[c].resize(n_words);
-    eval_rinc_patch_words(children[c], patch_columns, n_patch_bits, n_rows,
-                          word_begin, word_end, child_words[c].data());
-    columns[c] = child_words[c].data();
-  }
-  // Child buffers are rebased to the chunk, hence base = word_begin.
-  reduce_words(module.mat_lut().splat_words().data(), children.size(), columns,
-               word_begin, word_end, word_begin, n_rows, out);
+  walk_rinc(
+      module,
+      [patch_columns, n_patch_bits](std::size_t input) {
+        POETBIN_CHECK(input < n_patch_bits);
+        return patch_columns[input];
+      },
+      n_rows, word_begin, word_end, walk_scratch(), 0, out);
 }
 
 BitVector Lut::eval_dataset_bitsliced(const BitMatrix& features) const {
@@ -269,8 +310,11 @@ struct WordChunks {
 };
 
 // Word-aligned chunking of the example range: a few chunks per thread for
-// load balance, but no smaller than 16 words (1024 examples) so per-chunk
-// setup (table splatting, child buffers) stays amortized.
+// load balance, but no smaller than 16 words (1024 examples) so every
+// chunk runs whole SIMD blocks and the per-call costs — the AVX backends'
+// lane broadcast of each table, the RINC walk, job dispatch — stay
+// amortized. (Tables are splatted at load and walk scratch is per thread;
+// neither is per chunk.)
 WordChunks chunk_words(std::size_t n_words, std::size_t n_threads) {
   WordChunks chunks;
   chunks.n_words = n_words;

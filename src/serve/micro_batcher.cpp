@@ -1,9 +1,8 @@
 #include "serve/micro_batcher.h"
 
-#include <bit>
+#include <algorithm>
 #include <utility>
 
-#include "util/bit_matrix.h"
 #include "util/check.h"
 
 namespace poetbin {
@@ -16,13 +15,18 @@ MicroBatcher::MicroBatcher(const Runtime& runtime, MicroBatcherOptions options)
 MicroBatcher::~MicroBatcher() { flush(); }
 
 std::shared_ptr<MicroBatcher::Batch> MicroBatcher::join(
-    const BitVector& example_bits, bool blocking, std::size_t* index,
-    bool* dispatch_claimed, bool* leader) {
+    const BitVector& example_bits, const PredictCache::Key& key, bool blocking,
+    std::size_t* index, bool* dispatch_claimed, bool* leader) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (open_ == nullptr) open_ = std::make_shared<Batch>();
+  if (open_ == nullptr) {
+    open_ = std::make_shared<Batch>();
+    open_->examples.reserve(options_.max_batch);
+    open_->keys.reserve(options_.max_batch);
+  }
   std::shared_ptr<Batch> batch = open_;
   *index = batch->examples.size();
   batch->examples.push_back(&example_bits);
+  batch->keys.push_back(key);
   *dispatch_claimed =
       batch->examples.size() >= options_.max_batch && try_close(batch);
   *leader = false;
@@ -40,38 +44,55 @@ bool MicroBatcher::try_close(const std::shared_ptr<Batch>& batch) {
   return true;
 }
 
-void MicroBatcher::dispatch(const std::shared_ptr<Batch>& batch,
-                            bool timed_out) {
-  // The batch is exclusively owned by its dispatcher once try_close
-  // succeeded, so packing needs no lock — only the word pass serializes,
-  // letting window N+1 pack while window N's predict is still in flight.
-  const std::size_t k = batch->examples.size();
-  const std::size_t n_features = batch->examples[0]->size();
-  BitMatrix packed(k, n_features);
-  for (std::size_t i = 0; i < k; ++i) {
-    const BitVector& example = *batch->examples[i];
-    POETBIN_CHECK_MSG(example.size() == n_features,
+void MicroBatcher::pack_window(const Batch& batch) {
+  const std::size_t k = batch.examples.size();
+  const std::size_t n_features = batch.examples[0]->size();
+  for (const BitVector* example : batch.examples) {
+    POETBIN_CHECK_MSG(example->size() == n_features,
                       "all examples in a micro-batch must have the same "
                       "feature count");
-    // Scatter the example's set bits into the feature-major columns; the
-    // per-row word/bit split supports windows wider than 64.
-    const std::uint64_t row_bit = 1ULL << (i & 63);
-    const std::size_t row_word = i >> 6;
-    const std::uint64_t* words = example.words();
-    for (std::size_t w = 0; w < example.word_count(); ++w) {
-      std::uint64_t m = words[w];
-      if (w + 1 == example.word_count()) {
-        m &= BitVector::tail_word_mask(n_features);
+  }
+  if (window_.rows() != options_.max_batch || window_.cols() != n_features) {
+    window_ = BitMatrix(options_.max_batch, n_features);
+  }
+  // One 64 x 64 block per (row word, feature word): gather 64 examples'
+  // words for 64 features, transpose, and store the 64 feature columns'
+  // words for those rows. Feature bits past n_features land in block
+  // words that are never stored, so example tails need no masking.
+  const std::size_t feature_words = BitVector::words_needed(n_features);
+  std::uint64_t block[64];
+  for (std::size_t row_word = 0; row_word < window_.word_count();
+       ++row_word) {
+    const std::size_t row0 = row_word * 64;
+    const std::size_t rows = row0 < k ? std::min<std::size_t>(64, k - row0)
+                                      : 0;
+    for (std::size_t fw = 0; fw < feature_words; ++fw) {
+      const std::size_t feature0 = fw * 64;
+      const std::size_t cols = std::min<std::size_t>(64, n_features - feature0);
+      if (rows == 0) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          window_.column(feature0 + j).words()[row_word] = 0;
+        }
+        continue;
       }
-      const std::size_t feature0 = w * 64;
-      while (m != 0) {
-        const std::size_t f =
-            feature0 + static_cast<std::size_t>(std::countr_zero(m));
-        packed.column(f).words()[row_word] |= row_bit;
-        m &= m - 1;
+      for (std::size_t i = 0; i < rows; ++i) {
+        block[i] = batch.examples[row0 + i]->words()[fw];
+      }
+      std::fill(block + rows, block + 64, 0);
+      transpose64(block);
+      for (std::size_t j = 0; j < cols; ++j) {
+        window_.column(feature0 + j).words()[row_word] = block[j];
       }
     }
   }
+}
+
+void MicroBatcher::dispatch(const std::shared_ptr<Batch>& batch,
+                            bool timed_out) {
+  // The batch is exclusively owned by its dispatcher once try_close
+  // succeeded; the window matrix is shared by every dispatch, so packing
+  // runs under dispatch_mu_ together with the word pass.
+  const std::size_t k = batch->examples.size();
   std::vector<int> predictions;
   Runtime::Snapshot snap;
   {
@@ -80,21 +101,21 @@ void MicroBatcher::dispatch(const std::shared_ptr<Batch>& batch,
     // version here so cache inserts below tag results with the version that
     // actually computed them, not whatever is current by insert time.
     std::lock_guard<std::mutex> dispatch_lock(dispatch_mu_);
+    pack_window(*batch);
     snap = runtime_->snapshot();
-    predictions = runtime_->predict_snapshot(snap, packed);
+    predictions = runtime_->predict_snapshot(snap, window_);
   }
   if (PredictCache* cache = runtime_->cache()) {
     for (std::size_t i = 0; i < k; ++i) {
-      cache->insert(PredictCache::make_key(*batch->examples[i]),
-                    predictions[i], snap->version);
+      cache->insert(batch->keys[i], predictions[i], snap->version);
     }
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
     batch->results = std::move(predictions);
     batch->done = true;
-    stats_.record_window(batch->examples.size(), options_.max_batch, timed_out);
-    stats_.requests += batch->examples.size();
+    stats_.record_window(k, options_.max_batch, timed_out);
+    stats_.requests += k;
   }
   batch->cv.notify_all();
 }
@@ -121,12 +142,11 @@ int MicroBatcher::await(const std::shared_ptr<Batch>& batch, std::size_t index,
 }
 
 bool MicroBatcher::probe_cache(const BitVector& example_bits,
-                               int* prediction) {
+                               int* prediction, PredictCache::Key* key) {
   PredictCache* cache = runtime_->cache();
-  if (cache == nullptr ||
-      !cache->probe(PredictCache::make_key(example_bits), prediction)) {
-    return false;
-  }
+  if (cache == nullptr) return false;
+  *key = PredictCache::make_key(example_bits);
+  if (!cache->probe(*key, prediction)) return false;
   // order: relaxed — monotonic statistics counter; stats() folds it in.
   cache_hit_requests_.fetch_add(1, std::memory_order_relaxed);
   return true;
@@ -134,26 +154,28 @@ bool MicroBatcher::probe_cache(const BitVector& example_bits,
 
 int MicroBatcher::predict_one(const BitVector& example_bits) {
   int prediction = 0;
-  if (probe_cache(example_bits, &prediction)) return prediction;
+  PredictCache::Key key;
+  if (probe_cache(example_bits, &prediction, &key)) return prediction;
   std::size_t index = 0;
   bool dispatch_claimed = false;
   bool leader = false;
   // The window's first blocking request (not necessarily its first
   // request — submit() joins never lead) arms the max_wait timeout.
-  std::shared_ptr<Batch> batch =
-      join(example_bits, /*blocking=*/true, &index, &dispatch_claimed, &leader);
+  std::shared_ptr<Batch> batch = join(example_bits, key, /*blocking=*/true,
+                                      &index, &dispatch_claimed, &leader);
   if (dispatch_claimed) dispatch(batch);
   return await(batch, index, leader);
 }
 
 MicroBatcher::Ticket MicroBatcher::submit(const BitVector& example_bits) {
   int prediction = 0;
-  if (probe_cache(example_bits, &prediction)) return Ticket(prediction);
+  PredictCache::Key key;
+  if (probe_cache(example_bits, &prediction, &key)) return Ticket(prediction);
   std::size_t index = 0;
   bool dispatch_claimed = false;
   bool leader = false;
-  std::shared_ptr<Batch> batch = join(example_bits, /*blocking=*/false, &index,
-                                      &dispatch_claimed, &leader);
+  std::shared_ptr<Batch> batch = join(example_bits, key, /*blocking=*/false,
+                                      &index, &dispatch_claimed, &leader);
   if (dispatch_claimed) dispatch(batch);
   return Ticket(this, std::move(batch), index);
 }

@@ -27,11 +27,18 @@
 // internal mutex (the Runtime's engine is not re-entrant), so the batcher
 // may be shared freely across producer threads.
 //
+// Packing: each dispatch packs its window into one feature-major BitMatrix
+// of max_batch rows that the batcher allocates once and reuses, so it
+// packs under the dispatch mutex. Examples are moved 64 x 64 bits at a
+// time by a block bit-transpose (util/bit_matrix.h transpose64); rows
+// past the window's fill are zero and their predictions are never read.
+//
 // Prediction cache: when the Runtime has one (RuntimeOptions::cache_bytes),
 // both entry points probe it BEFORE joining a window — a hit skips the
 // window entirely (predict_one returns immediately; submit hands back an
 // already-resolved Ticket) — and a dispatched window inserts its results
-// tagged with the model version that computed them. Hits are bit-identical
+// tagged with the model version that computed them, under the key the
+// probe already computed (each miss is hashed once). Hits are bit-identical
 // to the fused pass by the cache's epoch-invalidation contract
 // (serve/predict_cache.h). stats() folds the cache's counters into its
 // snapshot, so one read tells the whole serving story.
@@ -46,8 +53,10 @@
 #include <mutex>
 #include <vector>
 
+#include "serve/predict_cache.h"
 #include "serve/runtime.h"
 #include "serve/serve_stats.h"
+#include "util/bit_matrix.h"
 #include "util/bitvector.h"
 
 namespace poetbin {
@@ -97,6 +106,10 @@ class MicroBatcher {
  private:
   struct Batch {
     std::vector<const BitVector*> examples;
+    // keys[i] is the cache key of examples[i], kept from the probe so the
+    // dispatch inserts without rehashing (unset and unused when the
+    // Runtime has no cache).
+    std::vector<PredictCache::Key> keys;
     std::vector<int> results;
     bool closed = false;      // no longer accepting joins; a dispatch is owed
     bool done = false;        // results are valid
@@ -110,7 +123,9 @@ class MicroBatcher {
   // (*leader) when it is the first blocking request — submit() joins never
   // lead, so a blocking request arriving after async ones still arms the
   // max_wait timeout.
-  std::shared_ptr<Batch> join(const BitVector& example_bits, bool blocking,
+  // `key` is the example's cache key from probe_cache.
+  std::shared_ptr<Batch> join(const BitVector& example_bits,
+                              const PredictCache::Key& key, bool blocking,
                               std::size_t* index, bool* dispatch_claimed,
                               bool* leader);
   // Marks `batch` closed and detaches it from the open slot. Returns true
@@ -120,20 +135,27 @@ class MicroBatcher {
   // marks a leader-timeout dispatch (a partial window that went out because
   // its oldest blocking request ran out of max_wait) for the stats.
   void dispatch(const std::shared_ptr<Batch>& batch, bool timed_out = false);
+  // Packs `batch` into window_ (rows past its fill zeroed). Requires
+  // dispatch_mu_.
+  void pack_window(const Batch& batch);
   // Blocks until `batch` is done, dispatching it on timeout if nobody else
   // has. Returns the result at `index`.
   int await(const std::shared_ptr<Batch>& batch, std::size_t index,
             bool leader);
   // Cache probe shared by both entry points. True = *prediction is the
   // served answer (bit-identical to the current version's predict) and the
-  // request never joins a window.
-  bool probe_cache(const BitVector& example_bits, int* prediction);
+  // request never joins a window. With a cache, *key receives the
+  // example's key either way; the window keeps it for the insert.
+  // Without one, *key is left as is.
+  bool probe_cache(const BitVector& example_bits, int* prediction,
+                   PredictCache::Key* key);
 
   const Runtime* runtime_;
   MicroBatcherOptions options_;
 
   mutable std::mutex mu_;   // guards open_, batch states and the stats
-  std::mutex dispatch_mu_;  // serializes Runtime::predict calls
+  std::mutex dispatch_mu_;  // serializes packing + Runtime::predict calls
+  BitMatrix window_;        // the packed window; guarded by dispatch_mu_
   std::shared_ptr<Batch> open_;
   ServeStats stats_;
   // Requests answered straight from the cache — kept out of mu_ so the

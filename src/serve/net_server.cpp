@@ -10,11 +10,13 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <iterator>
 #include <utility>
 
 #include "core/packed_model.h"
@@ -138,12 +140,12 @@ void NetServer::stop() {
   if (!started_) return;
   stop_.store(true);
   if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> handlers;
+  std::vector<Handler> handlers;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     handlers.swap(handlers_);
   }
-  for (auto& handler : handlers) handler.join();
+  for (auto& handler : handlers) handler.thread.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -173,8 +175,26 @@ ServeStats NetServer::stats() const {
   return merged;
 }
 
+void NetServer::reap_finished_handlers() {
+  std::vector<Handler> finished;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    auto done = std::partition(
+        handlers_.begin(), handlers_.end(),
+        [](const Handler& handler) { return !handler.finished->load(); });
+    std::move(done, handlers_.end(), std::back_inserter(finished));
+    handlers_.erase(done, handlers_.end());
+  }
+  // A finished handler has left handle_connection; the join only waits
+  // for its thread to unwind.
+  for (auto& handler : finished) handler.thread.join();
+}
+
 void NetServer::accept_loop() {
   while (!stop_.load()) {
+    // Reaped here, once per poll slice or accept: a server that lives
+    // through many short connections holds only the live ones' threads.
+    reap_finished_handlers();
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, kPollSliceMs);
     if (ready <= 0) continue;
@@ -185,9 +205,15 @@ void NetServer::accept_loop() {
     if (fd < 0) continue;
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    auto finished = std::make_unique<std::atomic<bool>>(false);
+    std::atomic<bool>* flag = finished.get();
     std::lock_guard<std::mutex> lock(conn_mu_);
     net_stats_.connections += 1;
-    handlers_.emplace_back([this, fd] { handle_connection(fd); });
+    handlers_.push_back(Handler{std::thread([this, fd, flag] {
+                                  handle_connection(fd);
+                                  flag->store(true);
+                                }),
+                                std::move(finished)});
   }
 }
 

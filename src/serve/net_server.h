@@ -108,8 +108,18 @@ class NetServer {
   ServeStats stats() const;
 
  private:
+  // A connection's thread plus the flag it raises when it is done, so the
+  // acceptor can join finished handlers instead of accumulating them.
+  struct Handler {
+    std::thread thread;
+    std::unique_ptr<std::atomic<bool>> finished;
+  };
+
   void accept_loop();
   void handle_connection(int fd);
+  // Joins every handler whose connection has closed (their stacks and
+  // buffers stay allocated until joined).
+  void reap_finished_handlers();
 
   Runtime* runtime_;
   NetServerOptions options_;
@@ -122,7 +132,7 @@ class NetServer {
   bool started_ = false;
   std::thread acceptor_;
   mutable std::mutex conn_mu_;  // guards handlers_ and net_stats_
-  std::vector<std::thread> handlers_;
+  std::vector<Handler> handlers_;
   ServeStats net_stats_;
 };
 

@@ -2,6 +2,26 @@
 
 namespace poetbin {
 
+void transpose64(std::uint64_t* block) {
+  // Round `width` swaps the off-diagonal width x width sub-blocks of every
+  // 2*width x 2*width tile: the high `width` bits of row k trade places
+  // with the low `width` bits of row k + width. `mask` selects the low half
+  // of each 2*width-bit field.
+  std::uint64_t mask = 0x00000000FFFFFFFFULL;
+  for (std::size_t width = 32; width != 0;
+       width >>= 1, mask ^= mask << width) {
+    for (std::size_t tile = 0; tile < 64; tile += 2 * width) {
+      // Unit-stride over the tile's top half, so the round vectorizes.
+      for (std::size_t k = tile; k < tile + width; ++k) {
+        const std::uint64_t t =
+            ((block[k] >> width) ^ block[k + width]) & mask;
+        block[k] ^= t << width;
+        block[k + width] ^= t;
+      }
+    }
+  }
+}
+
 BitMatrix BitMatrix::select_rows(const std::vector<std::size_t>& row_indices) const {
   BitMatrix out(row_indices.size(), cols_.size());
   for (std::size_t c = 0; c < cols_.size(); ++c) {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -18,6 +19,14 @@
 #include "util/check.h"
 
 namespace poetbin {
+
+// In-place transpose of a 64x64 bit block held as 64 words, LSB-first:
+// on return, bit i of block[j] is what bit j of block[i] was. Six rounds
+// of masked block swaps (Hacker's Delight, section 7-3) — 64 * 6 / 2 word
+// swaps instead of 4096 single-bit moves. This is how row-major examples
+// (one word per 64 features) become feature-major column words (one word
+// per 64 examples).
+void transpose64(std::uint64_t* block);
 
 class BitMatrix {
  public:

@@ -3,8 +3,10 @@
 // The Shannon mux collapses to a single vpternlogq per table level, and the
 // Adaboost reweight blend uses the native 8-bit lane masks. As with AVX2,
 // everything is exact bitwise logic or elementwise IEEE multiplies, so the
-// results are bit-identical to scalar64; ragged tails fall through to the
-// shared scalar bodies. Compiled with -mavx512f -mavx512bw -mavx512vl and
+// results are bit-identical to scalar64. Ragged tails fall through to the
+// shared scalar bodies, except lut_reduce's: its one-word ranges (a
+// serving window) and sub-block tails vectorize across table entries
+// instead of across words. Compiled with -mavx512f -mavx512bw -mavx512vl and
 // dispatched at runtime in word_backend.cpp.
 #include "util/word_backend.h"
 
@@ -12,12 +14,15 @@
 
 #if defined(__GNUC__) && !defined(__clang__)
 // GCC's _mm512_undefined_epi32() is self-initialized (__Y = __Y), which
-// trips -Wmaybe-uninitialized through _mm512_andnot_si512 (GCC PR105593).
+// trips -Wmaybe-uninitialized through _mm512_andnot_si512 and
+// -Wuninitialized through _mm512_extracti64x4_epi64 (GCC PR105593).
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
 
 #include <immintrin.h>
 
+#include <iterator>
 #include <vector>
 
 #include "util/word_backend_impl.h"
@@ -36,6 +41,70 @@ inline __m512i mux(__m512i f0, __m512i f1, __m512i x) {
   return _mm512_ternarylogic_epi64(f0, f1, x, kMuxImm);
 }
 
+// One output word of an Arity-input table (3 <= Arity <= 8) with the
+// reduction vectorized across table entries instead of across words: the
+// serving window's one-word ranges and every range's sub-block tail. The
+// contiguous-halves order of word_impl::shannon_reduce (top address bit
+// first) folds zmm pairs down to one zmm of 8 entries, then the ymm and
+// xmm halves, then one scalar mux — 2^Arity - 1 muxes in about
+// 2^(Arity-3) + 3 instructions, all exact bitwise logic.
+template <std::size_t Arity>
+std::uint64_t reduce_one_word(const std::uint64_t* splat,
+                              const std::uint64_t* in) {
+  static_assert(Arity >= 3 && Arity <= 8);
+  constexpr std::size_t kVectors = (std::size_t{1} << Arity) / kBlock;
+  __m512i v[kVectors];
+  for (std::size_t k = 0; k < kVectors; ++k) {
+    v[k] = _mm512_loadu_si512(splat + k * kBlock);
+  }
+  std::size_t bit = Arity - 1;
+  for (std::size_t n = kVectors / 2; n >= 1; n /= 2, --bit) {
+    const __m512i x = _mm512_set1_epi64(static_cast<long long>(in[bit]));
+    for (std::size_t k = 0; k < n; ++k) v[k] = mux(v[k], v[k + n], x);
+  }
+  const __m256i quad = _mm256_ternarylogic_epi64(
+      _mm512_castsi512_si256(v[0]), _mm512_extracti64x4_epi64(v[0], 1),
+      _mm256_set1_epi64x(static_cast<long long>(in[2])), kMuxImm);
+  const __m128i pair = _mm_ternarylogic_epi64(
+      _mm256_castsi256_si128(quad), _mm256_extracti128_si256(quad, 1),
+      _mm_set1_epi64x(static_cast<long long>(in[1])), kMuxImm);
+  const auto lo = static_cast<std::uint64_t>(_mm_cvtsi128_si64(pair));
+  const auto hi = static_cast<std::uint64_t>(_mm_extract_epi64(pair, 1));
+  return lo ^ ((lo ^ hi) & in[0]);
+}
+
+template <std::size_t Arity>
+void lut_reduce_words(const std::uint64_t* splat,
+                      const std::uint64_t* const* columns, std::size_t base,
+                      std::size_t word_begin, std::size_t word_end,
+                      std::uint64_t* out) {
+  std::uint64_t in[Arity];
+  for (std::size_t w = word_begin; w < word_end; ++w) {
+    for (std::size_t j = 0; j < Arity; ++j) in[j] = columns[j][w - base];
+    out[w - word_begin] = reduce_one_word<Arity>(splat, in);
+  }
+}
+
+// Word-at-a-time lut_reduce: the entry-vectorized kernel for arities 3-8,
+// the shared scalar body otherwise.
+void lut_reduce_words_avx512(const std::uint64_t* splat, std::size_t arity,
+                             const std::uint64_t* const* columns,
+                             std::size_t base, std::size_t word_begin,
+                             std::size_t word_end, std::uint64_t* out) {
+  using Kernel = void (*)(const std::uint64_t*, const std::uint64_t* const*,
+                          std::size_t, std::size_t, std::size_t,
+                          std::uint64_t*);
+  static constexpr Kernel kKernels[] = {
+      lut_reduce_words<3>, lut_reduce_words<4>, lut_reduce_words<5>,
+      lut_reduce_words<6>, lut_reduce_words<7>, lut_reduce_words<8>};
+  if (arity >= 3 && arity - 3 < std::size(kKernels)) {
+    kKernels[arity - 3](splat, columns, base, word_begin, word_end, out);
+    return;
+  }
+  word_impl::lut_reduce(splat, arity, columns, base, word_begin, word_end,
+                        out);
+}
+
 void lut_reduce_avx512(const std::uint64_t* splat, std::size_t arity,
                        const std::uint64_t* const* columns, std::size_t base,
                        std::size_t word_begin, std::size_t word_end,
@@ -43,8 +112,8 @@ void lut_reduce_avx512(const std::uint64_t* splat, std::size_t arity,
   const std::size_t n_words = word_end - word_begin;
   const std::size_t blocks = n_words / kBlock;
   if (blocks == 0) {
-    word_impl::lut_reduce(splat, arity, columns, base, word_begin, word_end,
-                          out);
+    lut_reduce_words_avx512(splat, arity, columns, base, word_begin, word_end,
+                            out);
     return;
   }
   // 64-byte-aligned WordVec storage (vector<__m512i> would trip
@@ -86,9 +155,9 @@ void lut_reduce_avx512(const std::uint64_t* splat, std::size_t arity,
     }
     _mm512_storeu_si512(out + blk * kBlock, at(scratch, 0));
   }
-  word_impl::lut_reduce(splat, arity, columns, base,
-                        word_begin + blocks * kBlock, word_end,
-                        out + blocks * kBlock);
+  lut_reduce_words_avx512(splat, arity, columns, base,
+                          word_begin + blocks * kBlock, word_end,
+                          out + blocks * kBlock);
 }
 
 void and_words_avx512(const std::uint64_t* a, const std::uint64_t* b,

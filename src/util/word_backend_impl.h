@@ -1,59 +1,123 @@
 // Internal: scalar (64-bit word) kernel bodies shared by the backends.
 //
 // The scalar64 backend calls these directly; the AVX2/AVX-512 backends call
-// them for the ragged sub-block tail of each range. Keeping one definition
+// them for the ragged sub-block tail of each range (AVX-512 lut_reduce
+// keeps its own entry-vectorized tail for arities 3-8). Keeping one definition
 // guarantees every backend's remainder path is literally the reference
 // implementation. Not part of the public surface — include only from
 // word_backend*.cpp.
+//
+// The bodies have internal linkage (unnamed namespace): each backend TU is
+// compiled with its own ISA flags and auto-vectorizes them at that width,
+// so an out-of-line copy must never be shared across TUs — with external
+// linkage the linker keeps one copy, and the scalar64 table could end up
+// calling the AVX-512 build of a body on a CPU without AVX-512.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "dt/entropy.h"
 #include "util/aligned_vector.h"
 
 namespace poetbin::word_impl {
+namespace {
 
-// One word of LUT output from `arity` input words: iteratively
-// Shannon-reduce the splatted truth table over address bit 0, then 1, ...
-// Each step is the bitwise mux f0 ^ ((f0 ^ f1) & x) applied to adjacent
-// half-tables, so the whole evaluation is 2^arity - 1 word muxes and touches
-// no per-example state. `scratch` must hold at least 2^(arity-1) words
-// (unused when arity == 0).
-inline std::uint64_t shannon_reduce(const std::uint64_t* splat,
+// One word of LUT output from `arity` input words: Shannon-reduce the
+// splatted truth table over the top address bit first, then the next, ...
+// Entry a of the table is the output for address a = sum_j in_j << j, so
+// the entries with address bit (arity - 1) clear form the low half and
+// those with it set the high half: each step is the bitwise mux
+// lo ^ ((lo ^ hi) & x) of two contiguous half-tables. The whole evaluation
+// is 2^arity - 1 word muxes, touches no per-example state, and each level
+// is one unit-stride loop the compiler vectorizes at the TU's ISA width.
+// `scratch` must hold at least 2^(arity-1) words (unused when arity == 0).
+inline std::uint64_t shannon_reduce(const std::uint64_t* __restrict splat,
                                     std::size_t arity, const std::uint64_t* in,
-                                    std::uint64_t* scratch) {
+                                    std::uint64_t* __restrict scratch) {
   if (arity == 0) return splat[0];
   std::size_t half = std::size_t{1} << (arity - 1);
-  const std::uint64_t x0 = in[0];
+  const std::uint64_t x_top = in[arity - 1];
   for (std::size_t k = 0; k < half; ++k) {
-    const std::uint64_t f0 = splat[2 * k];
-    const std::uint64_t f1 = splat[2 * k + 1];
-    scratch[k] = f0 ^ ((f0 ^ f1) & x0);
+    const std::uint64_t lo = splat[k];
+    scratch[k] = lo ^ ((lo ^ splat[k + half]) & x_top);
   }
-  for (std::size_t j = 1; j < arity; ++j) {
+  for (std::size_t j = arity - 1; j-- > 0;) {
     half >>= 1;
     const std::uint64_t x = in[j];
+    const std::uint64_t* hi = scratch + half;
     for (std::size_t k = 0; k < half; ++k) {
-      const std::uint64_t f0 = scratch[2 * k];
-      const std::uint64_t f1 = scratch[2 * k + 1];
-      scratch[k] = f0 ^ ((f0 ^ f1) & x);
+      const std::uint64_t lo = scratch[k];
+      scratch[k] = lo ^ ((lo ^ hi[k]) & x);
     }
   }
   return scratch[0];
 }
 
+// The same reduction with the arity fixed at compile time, for the common
+// small tables: one template level per address bit, so every level's trip
+// count is a constant and the compiler unrolls and vectorizes it without
+// alias checks or remainder loops, keeping the half-tables in registers.
+template <std::size_t Arity>
+inline std::uint64_t shannon_reduce_fixed(const std::uint64_t* table,
+                                          const std::uint64_t* in) {
+  if constexpr (Arity == 0) {
+    return table[0];
+  } else {
+    constexpr std::size_t kHalf = std::size_t{1} << (Arity - 1);
+    std::uint64_t half_table[kHalf];
+    const std::uint64_t x = in[Arity - 1];
+    for (std::size_t k = 0; k < kHalf; ++k) {
+      half_table[k] = table[k] ^ ((table[k] ^ table[k + kHalf]) & x);
+    }
+    return shannon_reduce_fixed<Arity - 1>(half_table, in);
+  }
+}
+
+template <std::size_t Arity>
+inline void lut_reduce_fixed(const std::uint64_t* splat,
+                             const std::uint64_t* const* columns,
+                             std::size_t base, std::size_t word_begin,
+                             std::size_t word_end, std::uint64_t* out) {
+  std::uint64_t in[Arity];
+  for (std::size_t w = word_begin; w < word_end; ++w) {
+    for (std::size_t j = 0; j < Arity; ++j) in[j] = columns[j][w - base];
+    out[w - word_begin] = shannon_reduce_fixed<Arity>(splat, in);
+  }
+}
+
+// lut_reduce_fixed<1..8>, indexed by arity - 1: a stack half-table of at
+// most 128 words.
+using FixedLutReduce = void (*)(const std::uint64_t*,
+                                const std::uint64_t* const*, std::size_t,
+                                std::size_t, std::size_t, std::uint64_t*);
+constexpr FixedLutReduce kFixedLutReduce[] = {
+    lut_reduce_fixed<1>, lut_reduce_fixed<2>, lut_reduce_fixed<3>,
+    lut_reduce_fixed<4>, lut_reduce_fixed<5>, lut_reduce_fixed<6>,
+    lut_reduce_fixed<7>, lut_reduce_fixed<8>};
+
 inline void lut_reduce(const std::uint64_t* splat, std::size_t arity,
                        const std::uint64_t* const* columns, std::size_t base,
                        std::size_t word_begin, std::size_t word_end,
                        std::uint64_t* out) {
+  if (arity == 0) {
+    for (std::size_t w = word_begin; w < word_end; ++w) {
+      out[w - word_begin] = splat[0];
+    }
+    return;
+  }
+  if (arity <= std::size(kFixedLutReduce)) {
+    kFixedLutReduce[arity - 1](splat, columns, base, word_begin, word_end,
+                               out);
+    return;
+  }
   // Reused across calls: one allocation per thread, not one per chunk.
   static thread_local WordVec scratch;
   static thread_local WordVec in;
-  const std::size_t half = arity == 0 ? 0 : (std::size_t{1} << (arity - 1));
+  const std::size_t half = std::size_t{1} << (arity - 1);
   if (scratch.size() < half) scratch.resize(half);
   if (in.size() < arity) in.resize(arity);
   for (std::size_t w = word_begin; w < word_end; ++w) {
@@ -175,4 +239,5 @@ inline double entropy_sum(const double* pairs, std::size_t n_pairs,
   return weighted_entropy_sum(pairs, n_pairs, init);
 }
 
+}  // namespace
 }  // namespace poetbin::word_impl

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "util/rng.h"
 
 namespace poetbin {
@@ -78,6 +81,25 @@ TEST(BitMatrix, RowColumnConsistencyProperty) {
       EXPECT_EQ(row.get(c), m.get(r, c));
       EXPECT_EQ(m.column(c).get(r), m.get(r, c));
     }
+  }
+}
+
+TEST(BitMatrix, Transpose64MovesEveryBitAcrossTheDiagonal) {
+  Rng rng(5);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::uint64_t block[64];
+    for (auto& word : block) word = rng.next_u64();
+    std::uint64_t original[64];
+    std::copy(block, block + 64, original);
+    transpose64(block);
+    for (std::size_t i = 0; i < 64; ++i) {
+      for (std::size_t j = 0; j < 64; ++j) {
+        ASSERT_EQ((block[j] >> i) & 1u, (original[i] >> j) & 1u)
+            << "row " << i << " col " << j;
+      }
+    }
+    transpose64(block);  // an involution
+    EXPECT_TRUE(std::equal(block, block + 64, original));
   }
 }
 

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -246,6 +249,68 @@ TEST(NetServer, StatsRequestReturnsLiveCounters) {
   EXPECT_EQ(stats.stats.requests, 5u);
   EXPECT_EQ(stats.stats.connections, 1u);
   EXPECT_EQ(stats.stats.errors, 0u);
+  server.stop();
+}
+
+// Threads of this process (entries of /proc/self/task).
+std::size_t process_thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+// VmSize of this process in KiB: a thread that exited but was never joined
+// keeps its stack mapped, so unjoined handlers show here even after their
+// kernel tasks are gone.
+std::size_t process_vm_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return static_cast<std::size_t>(std::stoull(line.substr(7)));
+    }
+  }
+  return 0;
+}
+
+// A long-lived server that sees many short connections must join each
+// finished handler while it runs, not only at stop(): 256 sequential
+// connect -> predict -> close cycles leave the thread count and the
+// mapped memory (unjoined 8 MiB handler stacks would add ~2 GiB) where
+// they started.
+TEST(NetServer, ClosedConnectionsDoNotAccumulateHandlerThreads) {
+  const ServeFixture& fx = fixture();
+  Runtime runtime(fx.model, {.threads = 1});
+  NetServer server(runtime, loopback_options(true));
+  ASSERT_TRUE(server.start());
+  const std::size_t threads_before = process_thread_count();
+  const std::size_t vm_before_kib = process_vm_kib();
+  constexpr std::size_t kConnections = 256;
+  for (std::size_t i = 0; i < kConnections; ++i) {
+    NetClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    wire::Response response;
+    const std::size_t row = i % fx.rows.size();
+    ASSERT_TRUE(client.predict(fx.rows[row], &response));
+    ASSERT_EQ(response.status, wire::Status::kOk);
+    EXPECT_EQ(response.prediction, fx.scalar_preds[row]);
+    client.close();
+  }
+  // The last handlers finish after their clients close; they are reaped
+  // within one acceptor poll slice (200 ms).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (process_thread_count() > threads_before + 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(process_thread_count(), threads_before + 2);
+  EXPECT_LT(process_vm_kib(), vm_before_kib + 256 * 1024)
+      << "closed connections left unjoined handler stacks mapped";
+  EXPECT_EQ(server.stats().connections, kConnections);
   server.stop();
 }
 

@@ -291,6 +291,108 @@ TEST(RaceStress, MicroBatcherSubmitFlushVsLeaderDispatch) {
   EXPECT_GE(stats.requests, 2 * iters + 2 * (iters / 4) * 4);
 }
 
+// A model whose class depends on the input bits (unlike tagged_model):
+// each module reads two features through its own truth table and each
+// neuron's codes vary with its combo, so handing an example a neighbour's
+// packed bits changes its answer.
+PoetBin input_dependent_model() {
+  const std::size_t p = 2;
+  PoetBinConfig config;
+  config.rinc.lut_inputs = p;
+  config.n_classes = kClasses;
+  std::vector<RincModule> modules;
+  modules.reserve(kClasses * p);
+  for (std::size_t m = 0; m < kClasses * p; ++m) {
+    std::vector<std::size_t> inputs = {m % kFeatures,
+                                       (7 * m + 3) % kFeatures};
+    BitVector table(std::size_t{1} << p);
+    for (std::size_t a = 0; a < table.size(); ++a) {
+      table.set(a, ((m + a) % 3) != 0);
+    }
+    modules.push_back(
+        RincModule::make_leaf(Lut(std::move(inputs), std::move(table))));
+  }
+  const QuantizerParams quantizer;
+  std::vector<SparseOutputNeuron> neurons(kClasses);
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    neurons[c].weights.assign(p, 0.0f);
+    neurons[c].input_modules.resize(p);
+    for (std::size_t j = 0; j < p; ++j) {
+      neurons[c].input_modules[j] = c * p + j;
+    }
+    neurons[c].codes.resize(std::size_t{1} << p);
+    for (std::size_t a = 0; a < neurons[c].codes.size(); ++a) {
+      neurons[c].codes[a] =
+          static_cast<std::uint32_t>((5 * c + 3 * a) % quantizer.levels());
+    }
+  }
+  return PoetBin::from_parts(config, std::move(modules), std::move(neurons),
+                             quantizer);
+}
+
+// --- MicroBatcher: the reused window matrix under concurrent windows -------
+
+// With max_batch = 8, async submitters, blocking callers and a flusher keep
+// windows closing on several threads at once, and every dispatch packs into
+// the batcher's one window matrix under its dispatch lock. No cache, so
+// every request is packed. Each answer must be its own example's scalar
+// class: a pack racing another window's would serve a neighbour's.
+TEST(RaceStress, MicroBatcherWindowReuseUnderConcurrentDispatch) {
+  const PoetBin model = input_dependent_model();
+  const Runtime runtime(model, {.threads = 1});
+  MicroBatcher batcher(runtime, {.max_batch = 8,
+                                 .max_wait = std::chrono::microseconds(50)});
+  std::vector<BitVector> pool;
+  std::vector<int> expected;
+  pool.reserve(64);
+  expected.reserve(64);
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    pool.push_back(example_bits(0xB0B0 + k));
+    expected.push_back(model.predict(pool.back()));
+  }
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> producers;
+  producers.reserve(5);
+  const std::size_t iters = 100 * kScale;
+  for (std::size_t t = 0; t < 3; ++t) {
+    producers.emplace_back([&, t] {
+      Rng rng(0xF00D + t);
+      for (std::size_t i = 0; i < iters; ++i) {
+        std::vector<std::size_t> picks(5);
+        std::vector<MicroBatcher::Ticket> tickets;
+        tickets.reserve(picks.size());
+        for (auto& pick : picks) {
+          pick = rng.next_below(pool.size());
+          tickets.push_back(batcher.submit(pool[pick]));
+        }
+        for (std::size_t b = 0; b < picks.size(); ++b) {
+          ASSERT_EQ(tickets[b].get(), expected[picks[b]]);
+        }
+      }
+    });
+  }
+  for (std::size_t t = 0; t < 2; ++t) {
+    producers.emplace_back([&, t] {
+      Rng rng(0xBEEF + t);
+      for (std::size_t i = 0; i < iters; ++i) {
+        const std::size_t pick = rng.next_below(pool.size());
+        ASSERT_EQ(batcher.predict_one(pool[pick]), expected[pick]);
+      }
+    });
+  }
+  std::thread flusher([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      batcher.flush();
+      std::this_thread::yield();
+    }
+  });
+  for (auto& producer : producers) producer.join();
+  stop.store(true);
+  flusher.join();
+  EXPECT_EQ(batcher.stats().requests, 3 * iters * 5 + 2 * iters);
+}
+
 // --- NetServer: stop() vs. in-flight connections ----------------------------
 
 // Pipelined clients keep frames in flight while the server is stopped and

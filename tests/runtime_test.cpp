@@ -5,17 +5,25 @@
 // producers.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/batch_eval.h"
+#include "core/poetbin.h"
+#include "core/rinc.h"
 #include "core/serialize.h"
+#include "dt/lut.h"
+#include "nn/quantize.h"
 #include "serve/micro_batcher.h"
 #include "serve/runtime.h"
 #include "serve/serve_stats.h"
 #include "test_util.h"
+#include "util/rng.h"
+#include "util/word_backend.h"
 
 namespace poetbin {
 namespace {
@@ -255,6 +263,111 @@ TEST(MicroBatcher, FlushOnDestructionCompletesOutstandingTickets) {
       EXPECT_EQ(tickets[i].get(), fx.scalar_preds[i]);
     }
   }
+}
+
+// Random 3-class RINC-1 model over `n_features` inputs (4-input LUTs,
+// random 8-bit codes): wide enough that requests span several feature
+// words with a ragged last one.
+PoetBin wide_random_model(std::size_t n_features, std::uint64_t seed) {
+  constexpr std::size_t p = 4;
+  constexpr std::size_t n_classes = 3;
+  Rng rng(seed);
+  auto random_lut = [&](std::vector<std::size_t> inputs) {
+    BitVector table(std::size_t{1} << inputs.size());
+    for (std::size_t a = 0; a < table.size(); ++a) {
+      table.set(a, rng.next_bool());
+    }
+    return Lut(std::move(inputs), std::move(table));
+  };
+  std::vector<RincModule> modules;
+  modules.reserve(n_classes * p);
+  for (std::size_t m = 0; m < n_classes * p; ++m) {
+    std::vector<RincModule> children;
+    children.reserve(p);
+    for (std::size_t c = 0; c < p; ++c) {
+      std::vector<std::size_t> inputs(p);
+      for (auto& input : inputs) input = rng.next_index(n_features);
+      // Pin one leaf to the last feature so the served width is n_features.
+      if (m == 0 && c == 0) inputs[0] = n_features - 1;
+      children.push_back(RincModule::make_leaf(random_lut(inputs)));
+    }
+    modules.push_back(RincModule::make_internal(
+        std::move(children), MatModule(std::vector<double>(p, 1.0))));
+  }
+  const QuantizerParams quantizer;  // 8-bit codes
+  std::vector<SparseOutputNeuron> neurons(n_classes);
+  for (std::size_t c = 0; c < n_classes; ++c) {
+    neurons[c].weights.assign(p, 0.0f);
+    neurons[c].input_modules.resize(p);
+    for (std::size_t j = 0; j < p; ++j) {
+      neurons[c].input_modules[j] = c * p + j;
+    }
+    neurons[c].codes.resize(std::size_t{1} << p);
+    for (auto& code : neurons[c].codes) {
+      code = static_cast<std::uint32_t>(rng.next_index(quantizer.levels()));
+    }
+  }
+  PoetBinConfig config;
+  config.rinc.lut_inputs = p;
+  config.n_classes = n_classes;
+  return PoetBin::from_parts(config, std::move(modules), std::move(neurons),
+                             quantizer);
+}
+
+// Windows of fill 1/17/63/64 under window sizes 8/64/128 (a fill above
+// max_batch spans several windows), on every backend, must reproduce
+// scalar PoetBin::predict: the block-transpose pack, the zeroed rows past
+// the fill and the reused window matrix all sit on this path.
+void expect_window_fills_match_scalar(const PoetBin& model,
+                                      const std::vector<BitVector>& rows) {
+  std::vector<int> expected(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    expected[i] = model.predict(rows[i]);
+  }
+  testing::BackendGuard guard;
+  for (const auto backend : available_word_backends()) {
+    set_word_backend(backend);
+    const Runtime runtime(model, {.threads = 1});
+    for (const std::size_t max_batch :
+         {std::size_t{8}, std::size_t{64}, std::size_t{128}}) {
+      MicroBatcher batcher(runtime, {.max_batch = max_batch,
+                                     .max_wait = std::chrono::seconds(10)});
+      std::size_t next = 0;
+      for (const std::size_t fill : {std::size_t{1}, std::size_t{17},
+                                     std::size_t{63}, std::size_t{64}}) {
+        std::vector<MicroBatcher::Ticket> tickets;
+        tickets.reserve(fill);
+        for (std::size_t i = 0; i < fill; ++i) {
+          tickets.push_back(batcher.submit(rows[(next + i) % rows.size()]));
+        }
+        batcher.flush();
+        for (std::size_t i = 0; i < fill; ++i) {
+          const std::size_t row = (next + i) % rows.size();
+          ASSERT_EQ(tickets[i].get(), expected[row])
+              << word_backend_name(backend) << " max_batch=" << max_batch
+              << " fill=" << fill << " row=" << row;
+        }
+        next += fill;
+      }
+    }
+  }
+}
+
+TEST(MicroBatcher, WindowFillsMatchScalarOnEveryBackend) {
+  const ServeFixture& fx = fixture();
+  expect_window_fills_match_scalar(fx.model, fx.rows);
+}
+
+TEST(MicroBatcher, MultiWordRaggedRowsMatchScalarOnEveryBackend) {
+  constexpr std::size_t kFeatures = 130;  // three feature words, ragged
+  const PoetBin model = wide_random_model(kFeatures, 97);
+  const BitMatrix features = testing::random_bits(300, kFeatures, 98);
+  std::vector<BitVector> rows;
+  rows.reserve(features.rows());
+  for (std::size_t i = 0; i < features.rows(); ++i) {
+    rows.push_back(features.row(i));
+  }
+  expect_window_fills_match_scalar(model, rows);
 }
 
 // The acceptance stress: >= 8 concurrent producers hammering predict_one

@@ -234,6 +234,58 @@ TEST(WordBackendOps, RincEvalBitIdenticalAcrossBackends) {
   }
 }
 
+// lut_reduce straight through each backend's table on short and ragged
+// word ranges (the one-word serving window, sub-block remainders, whole
+// blocks plus a tail) with rebased column buffers (base != 0, as for MAT
+// child scratch), against a per-example table lookup — an oracle that
+// shares no code with any backend.
+TEST(WordBackendOps, LutReduceSubBlockRangesMatchTableLookup) {
+  Rng rng(83);
+  constexpr std::size_t kBase = 5;
+  constexpr std::size_t kWordOffset = 3;  // word_begin = kBase + kWordOffset
+  for (std::size_t arity = 0; arity <= 12; ++arity) {
+    const std::size_t table_size = std::size_t{1} << arity;
+    std::vector<bool> table(table_size);
+    std::vector<std::uint64_t> splat(table_size);
+    for (std::size_t a = 0; a < table_size; ++a) {
+      table[a] = rng.next_bool();
+      splat[a] = table[a] ? ~0ULL : 0ULL;
+    }
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2},
+                                std::size_t{63}, std::size_t{65},
+                                std::size_t{448}, std::size_t{511}}) {
+      const std::size_t word_begin = kBase + kWordOffset;
+      const std::size_t word_end = word_begin + n;
+      // Column j holds words [kBase, word_end) at offsets 0.. (rebased).
+      std::vector<std::vector<std::uint64_t>> columns(arity);
+      std::vector<const std::uint64_t*> column_ptrs(arity);
+      for (std::size_t j = 0; j < arity; ++j) {
+        columns[j].resize(word_end - kBase);
+        for (auto& word : columns[j]) word = rng.next_u64();
+        column_ptrs[j] = columns[j].data();
+      }
+      std::vector<std::uint64_t> expected(n, 0);
+      for (std::size_t w = 0; w < n; ++w) {
+        for (std::size_t bit = 0; bit < 64; ++bit) {
+          std::size_t address = 0;
+          for (std::size_t j = 0; j < arity; ++j) {
+            address |= ((columns[j][w + kWordOffset] >> bit) & 1u) << j;
+          }
+          if (table[address]) expected[w] |= 1ULL << bit;
+        }
+      }
+      for (const auto backend : available_word_backends()) {
+        std::vector<std::uint64_t> out(n, 0xA5A5A5A5A5A5A5A5ULL);
+        word_ops_for(backend)->lut_reduce(splat.data(), arity,
+                                          column_ptrs.data(), kBase,
+                                          word_begin, word_end, out.data());
+        EXPECT_EQ(out, expected) << word_backend_name(backend)
+                                 << " arity=" << arity << " n=" << n;
+      }
+    }
+  }
+}
+
 TEST(WordBackendOps, ScaleByMaskExactAcrossBackends) {
   // Elementwise multiplies must be IEEE-exact at any vector width: every
   // backend produces the same doubles, bit for bit.
