@@ -14,8 +14,11 @@
 // MicroBatcher predict_one traffic (window 64) against the scalar
 // one-example-at-a-time loop (gate: >= 5x at P=6, serve_microbatch_* rows).
 // The window rows time one 64-row serving window per backend against its
-// op count at the backend's lut_reduce peak (window_predict_ms_<backend>)
-// and the MicroBatcher's pack and handoff around it (window_pack_ms).
+// op count at the backend's lut_reduce peak (window_predict_<backend>_ms)
+// and the whole MicroBatcher window around it (window_batcher_ms); the
+// pack and handoff share of that window (window_pack_share) is a
+// difference of two minima, so it is reported but not a gated *_ms key.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -368,8 +371,11 @@ int main() {
   // the same predict_dataset -> lut_reduce path as the offline rows, with
   // every kernel call covering a single word. Its expected cost is the
   // window's word muxes at the backend's lut_reduce peak; efficiency is
-  // expected / measured. The pack row is the rest of a MicroBatcher window
-  // (64 submits, the pack, flush, 64 gets) beyond its Runtime::predict.
+  // expected / measured. The batcher row times a whole MicroBatcher window
+  // (64 submits, the pack, the predict, flush, 64 gets). Each rep times
+  // every backend's predict and then one batcher window, so a host state
+  // change that lasts many reps moves all of these minima together rather
+  // than one row.
   {
     constexpr std::size_t kWindow = 64;
     constexpr std::size_t kWindowReps = 2000;
@@ -379,33 +385,6 @@ int main() {
     const std::vector<int> expected = model.predict_dataset(window);
     const Runtime runtime(model, {.threads = 1});
     const double muxes = static_cast<double>(predict_muxes(model));
-    std::printf("One serving window, 10 classes, P=%zu, %zu rows "
-                "(%.0f word muxes):\n",
-                p, kWindow, muxes);
-    double default_predict_s = 0.0;
-    for (const auto backend : backends) {
-      set_word_backend(backend);
-      std::vector<int> got;
-      const double predict_s =
-          time_best_of(kWindowReps, [&] { got = runtime.predict(window); });
-      if (got != expected) {
-        std::printf("  ERROR: window predict (%s) disagrees with scalar\n",
-                    word_backend_name(backend));
-        return 1;
-      }
-      const double peak = lut_reduce_peak(p);
-      const double expected_s = muxes / peak;
-      std::printf("  window predict (%-8s)  %8.4f ms  op count at peak "
-                  "%8.4f ms (%.2e mux/s)  efficiency %.3f\n",
-                  word_backend_name(backend), 1e3 * predict_s,
-                  1e3 * expected_s, peak, expected_s / predict_s);
-      char key[64];
-      std::snprintf(key, sizeof key, "window_predict_ms_%s",
-                    word_backend_name(backend));
-      json.add(key, 1e3 * predict_s);
-      if (backend == default_backend) default_predict_s = predict_s;
-    }
-    set_word_backend(default_backend);
 
     std::vector<BitVector> rows;
     rows.reserve(kWindow);
@@ -414,21 +393,65 @@ int main() {
     std::vector<MicroBatcher::Ticket> tickets;
     tickets.reserve(kWindow);
     std::vector<int> served(kWindow);
-    const double batcher_s = time_best_of(kWindowReps, [&] {
-      tickets.clear();
-      for (const BitVector& row : rows) tickets.push_back(batcher.submit(row));
-      batcher.flush();
-      for (std::size_t i = 0; i < kWindow; ++i) served[i] = tickets[i].get();
-    });
+
+    std::vector<double> predict_s(backends.size(), 1e300);
+    std::vector<std::vector<int>> got(backends.size());
+    double batcher_s = 1e300;
+    for (std::size_t rep = 0; rep < kWindowReps; ++rep) {
+      for (std::size_t b = 0; b < backends.size(); ++b) {
+        set_word_backend(backends[b]);
+        predict_s[b] = std::min(predict_s[b], time_best_of(1, [&] {
+                                  got[b] = runtime.predict(window);
+                                }));
+      }
+      set_word_backend(default_backend);
+      batcher_s = std::min(batcher_s, time_best_of(1, [&] {
+                             tickets.clear();
+                             for (const BitVector& row : rows) {
+                               tickets.push_back(batcher.submit(row));
+                             }
+                             batcher.flush();
+                             for (std::size_t i = 0; i < kWindow; ++i) {
+                               served[i] = tickets[i].get();
+                             }
+                           }));
+    }
+
+    std::printf("One serving window, 10 classes, P=%zu, %zu rows "
+                "(%.0f word muxes):\n",
+                p, kWindow, muxes);
+    double default_predict_s = 0.0;
+    for (std::size_t b = 0; b < backends.size(); ++b) {
+      const WordBackend backend = backends[b];
+      if (got[b] != expected) {
+        std::printf("  ERROR: window predict (%s) disagrees with scalar\n",
+                    word_backend_name(backend));
+        return 1;
+      }
+      set_word_backend(backend);
+      const double peak = lut_reduce_peak(p);
+      const double expected_s = muxes / peak;
+      std::printf("  window predict (%-8s)  %8.4f ms  op count at peak "
+                  "%8.4f ms (%.2e mux/s)  efficiency %.3f\n",
+                  word_backend_name(backend), 1e3 * predict_s[b],
+                  1e3 * expected_s, peak, expected_s / predict_s[b]);
+      char key[64];
+      std::snprintf(key, sizeof key, "window_predict_%s_ms",
+                    word_backend_name(backend));
+      json.add(key, 1e3 * predict_s[b]);
+      if (backend == default_backend) default_predict_s = predict_s[b];
+    }
+    set_word_backend(default_backend);
     if (served != expected) {
       std::printf("  ERROR: micro-batched window disagrees with scalar\n");
       return 1;
     }
-    const double pack_s = batcher_s - default_predict_s;
+    const double pack_share = (batcher_s - default_predict_s) / batcher_s;
     std::printf("  MicroBatcher window        %8.4f ms  (pack and handoff "
-                "%.4f ms beyond the predict)\n\n",
-                1e3 * batcher_s, 1e3 * pack_s);
-    json.add("window_pack_ms", 1e3 * pack_s);
+                "share beyond the predict %.2f)\n\n",
+                1e3 * batcher_s, pack_share);
+    json.add("window_batcher_ms", 1e3 * batcher_s);
+    json.add("window_pack_share", pack_share);
   }
 
   json.add("acceptance_pass", pass ? 1.0 : 0.0);

@@ -7,20 +7,23 @@
 // implementation. Not part of the public surface — include only from
 // word_backend*.cpp.
 //
-// The bodies have internal linkage (unnamed namespace): each backend TU is
-// compiled with its own ISA flags and auto-vectorizes them at that width,
-// so an out-of-line copy must never be shared across TUs — with external
-// linkage the linker keeps one copy, and the scalar64 table could end up
-// calling the AVX-512 build of a body on a CPU without AVX-512.
+// The bodies below have internal linkage (unnamed namespace): each backend
+// TU is compiled with its own ISA flags and auto-vectorizes them at that
+// width, and internal linkage keeps every TU on its own build of them —
+// with external linkage the linker keeps one copy, and the scalar64 table
+// could end up calling the AVX-512 build of a body. That guarantee covers
+// these bodies only, not the inline functions with external linkage they
+// call from other headers (the standard-library vector members behind the
+// thread-local scratch). entropy_sum is the one body that is not here: it
+// is defined once, in the scalar64 TU, so no SIMD TU compiles
+// dt/entropy.h at all.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <vector>
 
-#include "dt/entropy.h"
 #include "util/aligned_vector.h"
 
 namespace poetbin::word_impl {
@@ -57,48 +60,6 @@ inline std::uint64_t shannon_reduce(const std::uint64_t* __restrict splat,
   return scratch[0];
 }
 
-// The same reduction with the arity fixed at compile time, for the common
-// small tables: one template level per address bit, so every level's trip
-// count is a constant and the compiler unrolls and vectorizes it without
-// alias checks or remainder loops, keeping the half-tables in registers.
-template <std::size_t Arity>
-inline std::uint64_t shannon_reduce_fixed(const std::uint64_t* table,
-                                          const std::uint64_t* in) {
-  if constexpr (Arity == 0) {
-    return table[0];
-  } else {
-    constexpr std::size_t kHalf = std::size_t{1} << (Arity - 1);
-    std::uint64_t half_table[kHalf];
-    const std::uint64_t x = in[Arity - 1];
-    for (std::size_t k = 0; k < kHalf; ++k) {
-      half_table[k] = table[k] ^ ((table[k] ^ table[k + kHalf]) & x);
-    }
-    return shannon_reduce_fixed<Arity - 1>(half_table, in);
-  }
-}
-
-template <std::size_t Arity>
-inline void lut_reduce_fixed(const std::uint64_t* splat,
-                             const std::uint64_t* const* columns,
-                             std::size_t base, std::size_t word_begin,
-                             std::size_t word_end, std::uint64_t* out) {
-  std::uint64_t in[Arity];
-  for (std::size_t w = word_begin; w < word_end; ++w) {
-    for (std::size_t j = 0; j < Arity; ++j) in[j] = columns[j][w - base];
-    out[w - word_begin] = shannon_reduce_fixed<Arity>(splat, in);
-  }
-}
-
-// lut_reduce_fixed<1..8>, indexed by arity - 1: a stack half-table of at
-// most 128 words.
-using FixedLutReduce = void (*)(const std::uint64_t*,
-                                const std::uint64_t* const*, std::size_t,
-                                std::size_t, std::size_t, std::uint64_t*);
-constexpr FixedLutReduce kFixedLutReduce[] = {
-    lut_reduce_fixed<1>, lut_reduce_fixed<2>, lut_reduce_fixed<3>,
-    lut_reduce_fixed<4>, lut_reduce_fixed<5>, lut_reduce_fixed<6>,
-    lut_reduce_fixed<7>, lut_reduce_fixed<8>};
-
 inline void lut_reduce(const std::uint64_t* splat, std::size_t arity,
                        const std::uint64_t* const* columns, std::size_t base,
                        std::size_t word_begin, std::size_t word_end,
@@ -107,11 +68,6 @@ inline void lut_reduce(const std::uint64_t* splat, std::size_t arity,
     for (std::size_t w = word_begin; w < word_end; ++w) {
       out[w - word_begin] = splat[0];
     }
-    return;
-  }
-  if (arity <= std::size(kFixedLutReduce)) {
-    kFixedLutReduce[arity - 1](splat, columns, base, word_begin, word_end,
-                               out);
     return;
   }
   // Reused across calls: one allocation per thread, not one per chunk.
@@ -231,13 +187,12 @@ inline void scale_by_mask(const std::uint64_t* bits, std::size_t n_bits,
   }
 }
 
-// Every backend's entropy_sum is this one body: the per-node log2 is not an
-// exact op, so widening it would break cross-backend bit-identity (see the
-// WordOps declaration).
-inline double entropy_sum(const double* pairs, std::size_t n_pairs,
-                          double init) {
-  return weighted_entropy_sum(pairs, n_pairs, init);
-}
-
 }  // namespace
+
+// Every backend's entropy_sum is this one function (word_backend_scalar.cpp,
+// dt/entropy.h weighted_entropy_sum): the per-node log2 is not an exact op,
+// so widening it would break cross-backend bit-identity (see the WordOps
+// declaration).
+double entropy_sum(const double* pairs, std::size_t n_pairs, double init);
+
 }  // namespace poetbin::word_impl

@@ -1,9 +1,16 @@
 // scalar64 backend: one 64-bit word per step. The reference every other
 // backend must match bit for bit, and the fallback on non-x86 hosts.
 #include "util/word_backend.h"
+
+#include "dt/entropy.h"
 #include "util/word_backend_impl.h"
 
 namespace poetbin {
+
+double word_impl::entropy_sum(const double* pairs, std::size_t n_pairs,
+                              double init) {
+  return weighted_entropy_sum(pairs, n_pairs, init);
+}
 
 const WordOps& scalar64_word_ops() {
   static const WordOps ops = {

@@ -19,9 +19,6 @@
 #include <vector>
 
 #include "core/poetbin.h"
-#include "core/rinc.h"
-#include "dt/lut.h"
-#include "nn/quantize.h"
 #include "serve/runtime.h"
 #include "test_util.h"
 #include "util/bit_matrix.h"
@@ -102,57 +99,12 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace poetbin {
 namespace {
 
-// The serving shape: 10 classes, P = 6, each RINC-1 module six arity-6
-// leaves under one MAT, 256 input bits.
-PoetBin serving_shaped_model() {
-  constexpr std::size_t p = 6;
-  constexpr std::size_t n_classes = 10;
-  constexpr std::size_t n_features = 256;
-  Rng rng(41);
-  auto random_lut = [&] {
-    std::vector<std::size_t> inputs(p);
-    for (auto& input : inputs) input = rng.next_index(n_features);
-    BitVector table(std::size_t{1} << p);
-    for (std::size_t a = 0; a < table.size(); ++a) {
-      table.set(a, rng.next_bool());
-    }
-    return Lut(std::move(inputs), std::move(table));
-  };
-  std::vector<RincModule> modules;
-  modules.reserve(n_classes * p);
-  for (std::size_t m = 0; m < n_classes * p; ++m) {
-    std::vector<RincModule> children;
-    children.reserve(p);
-    for (std::size_t c = 0; c < p; ++c) {
-      children.push_back(RincModule::make_leaf(random_lut()));
-    }
-    std::vector<double> alphas(p);
-    for (auto& alpha : alphas) alpha = rng.next_double() + 0.1;
-    modules.push_back(
-        RincModule::make_internal(std::move(children), MatModule(alphas)));
-  }
-  const QuantizerParams quantizer;  // 8-bit codes
-  std::vector<SparseOutputNeuron> neurons(n_classes);
-  for (std::size_t c = 0; c < n_classes; ++c) {
-    neurons[c].weights.assign(p, 0.0f);
-    neurons[c].input_modules.resize(p);
-    for (std::size_t j = 0; j < p; ++j) {
-      neurons[c].input_modules[j] = c * p + j;
-    }
-    neurons[c].codes.resize(std::size_t{1} << p);
-    for (auto& code : neurons[c].codes) {
-      code = static_cast<std::uint32_t>(rng.next_index(quantizer.levels()));
-    }
-  }
-  PoetBinConfig config;
-  config.rinc.lut_inputs = p;
-  config.n_classes = n_classes;
-  return PoetBin::from_parts(config, std::move(modules), std::move(neurons),
-                             quantizer);
-}
-
 TEST(AllocFreeWindow, WarmDenseWindowPredictAllocatesAtMostTwice) {
-  const PoetBin model = serving_shaped_model();
+  // The serving shape: 10 classes, P = 6, each RINC-1 module six arity-6
+  // leaves under one MAT, 256 input bits.
+  Rng rng(41);
+  const PoetBin model = testing::random_rinc1_model(
+      /*n_classes=*/10, /*p=*/6, /*n_features=*/256, rng);
   const BitMatrix window = testing::random_bits(64, 256, 43);
   std::vector<int> expected(window.rows());
   for (std::size_t i = 0; i < window.rows(); ++i) {

@@ -19,28 +19,8 @@
 namespace poetbin {
 namespace {
 
-Lut random_lut(std::size_t arity, std::size_t n_features, Rng& rng) {
-  std::vector<std::size_t> inputs(arity);
-  for (auto& input : inputs) input = rng.next_index(n_features);
-  BitVector table(std::size_t{1} << arity);
-  for (std::size_t a = 0; a < table.size(); ++a) {
-    table.set(a, rng.next_bool());
-  }
-  return Lut(std::move(inputs), std::move(table));
-}
-
-// Random RINC hierarchy of the given level with `fanin` children per node.
-RincModule random_rinc(std::size_t level, std::size_t fanin,
-                       std::size_t n_features, Rng& rng) {
-  if (level == 0) return RincModule::make_leaf(random_lut(fanin, n_features, rng));
-  std::vector<RincModule> children;
-  for (std::size_t c = 0; c < fanin; ++c) {
-    children.push_back(random_rinc(level - 1, fanin, n_features, rng));
-  }
-  std::vector<double> alphas(fanin);
-  for (auto& alpha : alphas) alpha = rng.next_double() + 0.1;
-  return RincModule::make_internal(std::move(children), MatModule(alphas));
-}
+using testing::random_lut;
+using testing::random_rinc;
 
 TEST(EvalLutWords, MatchesScalarAcrossAritiesAndShapes) {
   Rng rng(17);

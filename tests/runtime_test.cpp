@@ -14,10 +14,7 @@
 
 #include "core/batch_eval.h"
 #include "core/poetbin.h"
-#include "core/rinc.h"
 #include "core/serialize.h"
-#include "dt/lut.h"
-#include "nn/quantize.h"
 #include "serve/micro_batcher.h"
 #include "serve/runtime.h"
 #include "serve/serve_stats.h"
@@ -265,55 +262,6 @@ TEST(MicroBatcher, FlushOnDestructionCompletesOutstandingTickets) {
   }
 }
 
-// Random 3-class RINC-1 model over `n_features` inputs (4-input LUTs,
-// random 8-bit codes): wide enough that requests span several feature
-// words with a ragged last one.
-PoetBin wide_random_model(std::size_t n_features, std::uint64_t seed) {
-  constexpr std::size_t p = 4;
-  constexpr std::size_t n_classes = 3;
-  Rng rng(seed);
-  auto random_lut = [&](std::vector<std::size_t> inputs) {
-    BitVector table(std::size_t{1} << inputs.size());
-    for (std::size_t a = 0; a < table.size(); ++a) {
-      table.set(a, rng.next_bool());
-    }
-    return Lut(std::move(inputs), std::move(table));
-  };
-  std::vector<RincModule> modules;
-  modules.reserve(n_classes * p);
-  for (std::size_t m = 0; m < n_classes * p; ++m) {
-    std::vector<RincModule> children;
-    children.reserve(p);
-    for (std::size_t c = 0; c < p; ++c) {
-      std::vector<std::size_t> inputs(p);
-      for (auto& input : inputs) input = rng.next_index(n_features);
-      // Pin one leaf to the last feature so the served width is n_features.
-      if (m == 0 && c == 0) inputs[0] = n_features - 1;
-      children.push_back(RincModule::make_leaf(random_lut(inputs)));
-    }
-    modules.push_back(RincModule::make_internal(
-        std::move(children), MatModule(std::vector<double>(p, 1.0))));
-  }
-  const QuantizerParams quantizer;  // 8-bit codes
-  std::vector<SparseOutputNeuron> neurons(n_classes);
-  for (std::size_t c = 0; c < n_classes; ++c) {
-    neurons[c].weights.assign(p, 0.0f);
-    neurons[c].input_modules.resize(p);
-    for (std::size_t j = 0; j < p; ++j) {
-      neurons[c].input_modules[j] = c * p + j;
-    }
-    neurons[c].codes.resize(std::size_t{1} << p);
-    for (auto& code : neurons[c].codes) {
-      code = static_cast<std::uint32_t>(rng.next_index(quantizer.levels()));
-    }
-  }
-  PoetBinConfig config;
-  config.rinc.lut_inputs = p;
-  config.n_classes = n_classes;
-  return PoetBin::from_parts(config, std::move(modules), std::move(neurons),
-                             quantizer);
-}
-
 // Windows of fill 1/17/63/64 under window sizes 8/64/128 (a fill above
 // max_batch spans several windows), on every backend, must reproduce
 // scalar PoetBin::predict: the block-transpose pack, the zeroed rows past
@@ -360,7 +308,9 @@ TEST(MicroBatcher, WindowFillsMatchScalarOnEveryBackend) {
 
 TEST(MicroBatcher, MultiWordRaggedRowsMatchScalarOnEveryBackend) {
   constexpr std::size_t kFeatures = 130;  // three feature words, ragged
-  const PoetBin model = wide_random_model(kFeatures, 97);
+  Rng rng(97);
+  const PoetBin model = testing::random_rinc1_model(
+      /*n_classes=*/3, /*p=*/4, kFeatures, rng);
   const BitMatrix features = testing::random_bits(300, kFeatures, 98);
   std::vector<BitVector> rows;
   rows.reserve(features.rows());

@@ -6,7 +6,11 @@
 #include <functional>
 #include <vector>
 
+#include "core/poetbin.h"
+#include "core/rinc.h"
 #include "data/dataset.h"
+#include "dt/lut.h"
+#include "nn/quantize.h"
 #include "util/bit_matrix.h"
 #include "util/bitvector.h"
 #include "util/rng.h"
@@ -92,6 +96,86 @@ inline BinaryDataset prototype_dataset(std::size_t n, std::size_t n_features,
     }
   }
   return data;
+}
+
+// LUT of `arity` random inputs drawn from `n_features` with a random truth
+// table.
+inline Lut random_lut(std::size_t arity, std::size_t n_features, Rng& rng) {
+  std::vector<std::size_t> inputs(arity);
+  for (auto& input : inputs) input = rng.next_index(n_features);
+  BitVector table(std::size_t{1} << arity);
+  for (std::size_t a = 0; a < table.size(); ++a) {
+    table.set(a, rng.next_bool());
+  }
+  return Lut(std::move(inputs), std::move(table));
+}
+
+// Random RINC hierarchy of the given level with `fanin` children per node.
+inline RincModule random_rinc(std::size_t level, std::size_t fanin,
+                              std::size_t n_features, Rng& rng) {
+  if (level == 0) {
+    return RincModule::make_leaf(random_lut(fanin, n_features, rng));
+  }
+  std::vector<RincModule> children;
+  children.reserve(fanin);
+  for (std::size_t c = 0; c < fanin; ++c) {
+    children.push_back(random_rinc(level - 1, fanin, n_features, rng));
+  }
+  std::vector<double> alphas(fanin);
+  for (auto& alpha : alphas) alpha = rng.next_double() + 0.1;
+  return RincModule::make_internal(std::move(children), MatModule(alphas));
+}
+
+// `n_classes`-class model over n_classes * p random RINC-1 modules (p
+// arity-p leaves under one MAT each), class c reading modules c*p..c*p+p-1,
+// with random 8-bit codes. One leaf input is pinned to the last feature, so
+// the model reads exactly `n_features` inputs. With `shared_codes` every
+// class reads modules 0..p-1 through that one code table, so their codes
+// tie on every example.
+inline PoetBin random_rinc1_model(
+    std::size_t n_classes, std::size_t p, std::size_t n_features, Rng& rng,
+    const std::vector<std::uint32_t>* shared_codes = nullptr) {
+  std::vector<RincModule> modules;
+  modules.reserve(n_classes * p);
+  for (std::size_t m = 0; m < n_classes * p; ++m) {
+    std::vector<RincModule> children;
+    children.reserve(p);
+    for (std::size_t c = 0; c < p; ++c) {
+      Lut leaf = random_lut(p, n_features, rng);
+      if (m == 0 && c == 0) {
+        std::vector<std::size_t> inputs = leaf.inputs();
+        inputs[0] = n_features - 1;
+        leaf = Lut(std::move(inputs), leaf.table());
+      }
+      children.push_back(RincModule::make_leaf(std::move(leaf)));
+    }
+    std::vector<double> alphas(p);
+    for (auto& alpha : alphas) alpha = rng.next_double() + 0.1;
+    modules.push_back(
+        RincModule::make_internal(std::move(children), MatModule(alphas)));
+  }
+  const QuantizerParams quantizer;  // 8-bit codes
+  std::vector<SparseOutputNeuron> neurons(n_classes);
+  for (std::size_t c = 0; c < n_classes; ++c) {
+    neurons[c].weights.assign(p, 0.0f);
+    neurons[c].input_modules.resize(p);
+    for (std::size_t j = 0; j < p; ++j) {
+      neurons[c].input_modules[j] = shared_codes != nullptr ? j : c * p + j;
+    }
+    if (shared_codes != nullptr) {
+      neurons[c].codes = *shared_codes;
+    } else {
+      neurons[c].codes.resize(std::size_t{1} << p);
+      for (auto& code : neurons[c].codes) {
+        code = static_cast<std::uint32_t>(rng.next_index(quantizer.levels()));
+      }
+    }
+  }
+  PoetBinConfig config;
+  config.rinc.lut_inputs = p;
+  config.n_classes = n_classes;
+  return PoetBin::from_parts(config, std::move(modules), std::move(neurons),
+                             quantizer);
 }
 
 }  // namespace poetbin::testing

@@ -28,6 +28,9 @@ namespace {
 constexpr std::size_t kRaggedSizes[] = {1, 63, 64, 65, 129, 1000};
 
 using testing::BackendGuard;
+using testing::random_lut;
+using testing::random_rinc;
+using testing::random_rinc1_model;
 
 BitVector random_vector(std::size_t n, Rng& rng) {
   BitVector v(n);
@@ -36,63 +39,6 @@ BitVector random_vector(std::size_t n, Rng& rng) {
   }
   v.mask_tail_word();
   return v;
-}
-
-Lut random_lut(std::size_t arity, std::size_t n_features, Rng& rng) {
-  std::vector<std::size_t> inputs(arity);
-  for (auto& input : inputs) input = rng.next_index(n_features);
-  BitVector table(std::size_t{1} << arity);
-  for (std::size_t a = 0; a < table.size(); ++a) table.set(a, rng.next_bool());
-  return Lut(std::move(inputs), std::move(table));
-}
-
-RincModule random_rinc(std::size_t level, std::size_t fanin,
-                       std::size_t n_features, Rng& rng) {
-  if (level == 0) {
-    return RincModule::make_leaf(random_lut(fanin, n_features, rng));
-  }
-  std::vector<RincModule> children;
-  for (std::size_t c = 0; c < fanin; ++c) {
-    children.push_back(random_rinc(level - 1, fanin, n_features, rng));
-  }
-  std::vector<double> alphas(fanin);
-  for (auto& alpha : alphas) alpha = rng.next_double() + 0.1;
-  return RincModule::make_internal(std::move(children), MatModule(alphas));
-}
-
-// nc-class model over RINC-1 modules with caller-supplied codes (or random
-// 8-bit codes when `codes_for` is null).
-PoetBin make_model(std::size_t n_classes, std::size_t p, Rng& rng,
-                   const std::vector<std::uint32_t>* shared_codes = nullptr) {
-  PoetBinConfig config;
-  config.rinc.lut_inputs = p;
-  config.n_classes = n_classes;
-  std::vector<RincModule> modules;
-  for (std::size_t m = 0; m < n_classes * p; ++m) {
-    modules.push_back(random_rinc(1, p, 32, rng));
-  }
-  const QuantizerParams quantizer;  // 8-bit codes
-  const std::size_t n_combos = std::size_t{1} << p;
-  std::vector<SparseOutputNeuron> neurons(n_classes);
-  for (std::size_t c = 0; c < n_classes; ++c) {
-    neurons[c].input_modules.resize(p);
-    neurons[c].weights.assign(p, 0.0f);
-    for (std::size_t j = 0; j < p; ++j) {
-      // With a shared code table the classes must also share wiring, so
-      // their codes genuinely tie on every example.
-      neurons[c].input_modules[j] = shared_codes != nullptr ? j : c * p + j;
-    }
-    if (shared_codes != nullptr) {
-      neurons[c].codes = *shared_codes;
-    } else {
-      neurons[c].codes.resize(n_combos);
-      for (std::size_t a = 0; a < n_combos; ++a) {
-        neurons[c].codes[a] = rng.next_index(quantizer.levels());
-      }
-    }
-  }
-  return PoetBin::from_parts(config, std::move(modules), std::move(neurons),
-                             quantizer);
 }
 
 TEST(WordBackendDispatch, Scalar64IsAlwaysAvailable) {
@@ -339,7 +285,8 @@ TEST(WordBackendOps, EntropySumIdenticalAcrossBackends) {
 TEST(FusedArgmax, MatchesScalarPredictOnRaggedSizes) {
   BackendGuard guard;
   Rng rng(89);
-  const PoetBin model = make_model(/*n_classes=*/7, /*p=*/4, rng);
+  const PoetBin model = random_rinc1_model(/*n_classes=*/7, /*p=*/4,
+                                           /*n_features=*/32, rng);
   const BatchEngine inline_engine(1);
   const BatchEngine threaded_engine(3);
   for (const std::size_t n : kRaggedSizes) {
@@ -365,7 +312,8 @@ TEST(FusedArgmax, TieBreaksToLowestClassLikePredictDataset) {
   const std::size_t p = 4;
   std::vector<std::uint32_t> shared(std::size_t{1} << p);
   for (auto& code : shared) code = rng.next_index(256);
-  const PoetBin model = make_model(/*n_classes=*/6, p, rng, &shared);
+  const PoetBin model = random_rinc1_model(/*n_classes=*/6, p,
+                                           /*n_features=*/32, rng, &shared);
   const BitMatrix features = testing::random_bits(321, 32, 103);
   const std::vector<int> reference = model.predict_dataset(features);
   for (const int prediction : reference) EXPECT_EQ(prediction, 0);
@@ -424,7 +372,8 @@ TEST(FusedArgmax, PartialTiesMatchScalar) {
 TEST(FusedArgmax, DegenerateClassCounts) {
   BackendGuard guard;
   Rng rng(113);
-  const PoetBin one_class = make_model(/*n_classes=*/1, /*p=*/3, rng);
+  const PoetBin one_class = random_rinc1_model(
+      /*n_classes=*/1, /*p=*/3, /*n_features=*/32, rng);
   const BitMatrix features = testing::random_bits(130, 32, 127);
   const std::vector<int> reference = one_class.predict_dataset(features);
   const BatchEngine engine(1);
@@ -441,7 +390,8 @@ TEST(FusedArgmax, DegenerateClassCounts) {
 TEST(FusedArgmax, AccuracyMatchesScalar) {
   BackendGuard guard;
   Rng rng(131);
-  const PoetBin model = make_model(/*n_classes=*/5, /*p=*/4, rng);
+  const PoetBin model = random_rinc1_model(/*n_classes=*/5, /*p=*/4,
+                                           /*n_features=*/32, rng);
   const BitMatrix features = testing::random_bits(777, 32, 137);
   std::vector<int> labels(features.rows());
   for (auto& label : labels) label = static_cast<int>(rng.next_index(5));
