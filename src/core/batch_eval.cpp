@@ -360,12 +360,24 @@ BitMatrix BatchEngine::rinc_outputs(const PoetBin& model,
 
 std::vector<int> BatchEngine::predict_dataset(const PoetBin& model,
                                               const BitMatrix& features) const {
+  std::vector<int> predictions(features.rows());
+  predict_dataset(model, features, predictions);
+  return predictions;
+}
+
+void BatchEngine::predict_dataset(const PoetBin& model,
+                                  const BitMatrix& features,
+                                  std::span<int> predictions) const {
   const std::size_t n = features.rows();
+  POETBIN_CHECK_MSG(predictions.size() == n,
+                    "predict_dataset: the output span must hold one entry "
+                    "per example");
   const auto& neurons = model.output_neurons();
-  std::vector<int> predictions(n, 0);
+  // The un-slice below ORs class-index bits into place.
+  std::fill(predictions.begin(), predictions.end(), 0);
   // With zero or one output neuron every example is class 0 (the scalar
   // argmax initializes to class 0), and there is nothing to compare.
-  if (n == 0 || neurons.size() <= 1) return predictions;
+  if (n == 0 || neurons.size() <= 1) return;
 
   const auto& modules = model.modules();
   const std::size_t p = model.lut_inputs();
@@ -387,7 +399,7 @@ std::vector<int> BatchEngine::predict_dataset(const PoetBin& model,
 
   const WordOps& ops = word_ops();
   const WordChunks chunks = chunk_words(features.word_count(), n_threads_);
-  parallel_for(chunks.n_chunks, [&](std::size_t chunk) {
+  const auto chunk_pass = [&](std::size_t chunk) {
     const std::size_t word_begin = chunk * chunks.chunk_words;
     const std::size_t word_end =
         std::min(chunks.n_words, word_begin + chunks.chunk_words);
@@ -456,8 +468,10 @@ std::vector<int> BatchEngine::predict_dataset(const PoetBin& model,
         }
       }
     }
-  });
-  return predictions;
+  };
+  // Through std::cref the std::function holds a reference to the closure
+  // instead of a heap copy: a warm window pass allocates nothing.
+  parallel_for(chunks.n_chunks, std::cref(chunk_pass));
 }
 
 double BatchEngine::accuracy(const PoetBin& model, const BitMatrix& features,

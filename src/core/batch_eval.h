@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/poetbin.h"
@@ -82,6 +83,10 @@ class BatchEngine {
   BitMatrix rinc_outputs(const PoetBin& model, const BitMatrix& features) const;
   std::vector<int> predict_dataset(const PoetBin& model,
                                    const BitMatrix& features) const;
+  // Same pass into a caller buffer of features.rows() entries, so a caller
+  // that predicts window after window (the MicroBatcher) reuses one buffer.
+  void predict_dataset(const PoetBin& model, const BitMatrix& features,
+                       std::span<int> predictions) const;
   double accuracy(const PoetBin& model, const BitMatrix& features,
                   const std::vector<int>& labels) const;
 

@@ -19,14 +19,21 @@ std::shared_ptr<MicroBatcher::Batch> MicroBatcher::join(
     std::size_t* index, bool* dispatch_claimed, bool* leader) {
   std::lock_guard<std::mutex> lock(mu_);
   if (open_ == nullptr) {
-    open_ = std::make_shared<Batch>();
-    open_->examples.reserve(options_.max_batch);
-    open_->keys.reserve(options_.max_batch);
+    if (free_batches_.empty()) {
+      open_ = std::make_shared<Batch>();
+      open_->examples.reserve(options_.max_batch);
+      open_->keys.reserve(options_.max_batch);
+      open_->results.resize(options_.max_batch);
+    } else {
+      open_ = std::move(free_batches_.back());
+      free_batches_.pop_back();
+    }
   }
   std::shared_ptr<Batch> batch = open_;
   *index = batch->examples.size();
   batch->examples.push_back(&example_bits);
   batch->keys.push_back(key);
+  ++batch->unread;
   *dispatch_claimed =
       batch->examples.size() >= options_.max_batch && try_close(batch);
   *leader = false;
@@ -41,6 +48,7 @@ bool MicroBatcher::try_close(const std::shared_ptr<Batch>& batch) {
   if (batch->closed) return false;
   batch->closed = true;
   if (open_ == batch) open_.reset();
+  ++in_flight_;
   return true;
 }
 
@@ -93,7 +101,6 @@ void MicroBatcher::dispatch(const std::shared_ptr<Batch>& batch,
   // succeeded; the window matrix is shared by every dispatch, so packing
   // runs under dispatch_mu_ together with the word pass.
   const std::size_t k = batch->examples.size();
-  std::vector<int> predictions;
   Runtime::Snapshot snap;
   {
     // One fused pass at a time: the Runtime's engine is not re-entrant, and
@@ -103,42 +110,64 @@ void MicroBatcher::dispatch(const std::shared_ptr<Batch>& batch,
     std::lock_guard<std::mutex> dispatch_lock(dispatch_mu_);
     pack_window(*batch);
     snap = runtime_->snapshot();
-    predictions = runtime_->predict_snapshot(snap, window_);
+    runtime_->predict_snapshot(snap, window_, batch->results);
   }
   if (PredictCache* cache = runtime_->cache()) {
     for (std::size_t i = 0; i < k; ++i) {
-      cache->insert(batch->keys[i], predictions[i], snap->version);
+      cache->insert(batch->keys[i], batch->results[i], snap->version);
     }
   }
+  std::shared_ptr<Batch> next;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    batch->results = std::move(predictions);
     batch->done = true;
     stats_.record_window(k, options_.max_batch, timed_out);
     stats_.requests += k;
+    // The engine just went idle: the open window's leader, if one waits,
+    // need not sit out the rest of max_wait.
+    if (--in_flight_ == 0) next = open_;
   }
   batch->cv.notify_all();
+  if (next != nullptr) next->cv.notify_all();
 }
 
 int MicroBatcher::await(const std::shared_ptr<Batch>& batch, std::size_t index,
                         bool leader) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (leader) {
+  if (leader && !batch->closed) {
+    // Only the open window is unclosed, so the leader owns the decision:
+    // go now if the engine is idle, else wait for it to go idle (dispatch
+    // notifies), for the window to fill (someone else closes it) or for
+    // max_wait to run out.
     const auto deadline = std::chrono::steady_clock::now() + options_.max_wait;
-    while (!batch->done && !batch->closed) {
-      if (batch->cv.wait_until(lock, deadline) ==
-          std::cv_status::timeout) {
-        if (!batch->done && !batch->closed && try_close(batch)) {
-          lock.unlock();
-          dispatch(batch, /*timed_out=*/true);
-          lock.lock();
-        }
+    bool expired = false;
+    while (!batch->closed) {
+      const bool idle = in_flight_ == 0;
+      if (idle || expired) {
+        try_close(batch);
+        lock.unlock();
+        dispatch(batch, /*timed_out=*/!idle);
+        lock.lock();
         break;
       }
+      expired = batch->cv.wait_until(lock, deadline) ==
+                std::cv_status::timeout;
     }
   }
   batch->cv.wait(lock, [&] { return batch->done; });
-  return batch->results[index];
+  const int result = batch->results[index];
+  // The last reader hands the window back for reuse. The dispatcher is
+  // done with it too: it published `done` after its last read of the
+  // batch, under mu_.
+  if (--batch->unread == 0) {
+    batch->examples.clear();
+    batch->keys.clear();
+    batch->closed = false;
+    batch->done = false;
+    batch->has_leader = false;
+    free_batches_.push_back(batch);
+  }
+  return result;
 }
 
 bool MicroBatcher::probe_cache(const BitVector& example_bits,
@@ -160,7 +189,7 @@ int MicroBatcher::predict_one(const BitVector& example_bits) {
   bool dispatch_claimed = false;
   bool leader = false;
   // The window's first blocking request (not necessarily its first
-  // request — submit() joins never lead) arms the max_wait timeout.
+  // request — submit() joins never lead) leads it out.
   std::shared_ptr<Batch> batch = join(example_bits, key, /*blocking=*/true,
                                       &index, &dispatch_claimed, &leader);
   if (dispatch_claimed) dispatch(batch);
@@ -181,11 +210,13 @@ MicroBatcher::Ticket MicroBatcher::submit(const BitVector& example_bits) {
 }
 
 int MicroBatcher::Ticket::get() {
-  // A cache hit resolved at submit() time and carries no batch.
+  // A cache hit resolved at submit() time, or get() already ran.
   if (batch_ == nullptr) return resolved_;
   // The window may still be open (submit-only traffic with no blocking
-  // leader). Act as a leader: give it max_wait to fill, then dispatch.
-  return parent_->await(batch_, index_, /*leader=*/true);
+  // leader), so lead it out.
+  resolved_ = parent_->await(batch_, index_, /*leader=*/true);
+  batch_.reset();
+  return resolved_;
 }
 
 void MicroBatcher::flush() {

@@ -12,14 +12,21 @@
 //   int cls = batcher.predict_one(bits);        // blocking, many threads
 //   Ticket t = batcher.submit(bits);            // async; t.get() blocks
 //
-// Batching policy: a window closes (and dispatches) when it reaches
-// max_batch examples, or when its oldest blocking request has waited
-// max_wait. The first blocking request in a window is its *leader* — it
-// arms the timeout; later requests just wait; whichever request observes
-// the window full dispatches it inline. There is no dispatcher thread:
-// submit()-only traffic dispatches when the window fills, on flush(), or
-// at the latest when a Ticket::get() times out its window, so no request
-// can strand.
+// Batching policy (work-conserving): a window goes out as soon as the
+// engine has nothing else to do. The request that waits on a window — its
+// first blocking predict_one, or any Ticket::get() — is the window's
+// *leader*:
+//   - engine idle (no earlier window is packing or predicting): the leader
+//     closes and dispatches the partial window at once;
+//   - engine busy: the window keeps collecting and goes out when it fills
+//     (whichever request fills it dispatches it inline), when the last
+//     in-flight window finishes (its dispatcher wakes the leader), or when
+//     the leader has waited max_wait, whichever comes first.
+// A lone request therefore never waits on a timer, and under load a window
+// gathers what arrives during the pass ahead of it. There is no dispatcher
+// thread: submit()-only traffic dispatches when the window fills, on
+// flush(), or when a Ticket::get() leads its window, so no request can
+// strand.
 //
 // Lifetime: the caller's example bits must stay alive until the request's
 // result is returned (predict_one) or Ticket::get() completes — the
@@ -32,6 +39,11 @@
 // packs under the dispatch mutex. Examples are moved 64 x 64 bits at a
 // time by a block bit-transpose (util/bit_matrix.h transpose64); rows
 // past the window's fill are zero and their predictions are never read.
+//
+// Window state: a window's example pointers, cache keys and result slots
+// (reserved to max_batch) go back to a free list once every request in it
+// has read its result, and the dispatch predicts straight into the result
+// slots (Runtime::predict_snapshot), so a warm window allocates nothing.
 //
 // Prediction cache: when the Runtime has one (RuntimeOptions::cache_bytes),
 // both entry points probe it BEFORE joining a window — a hit skips the
@@ -65,9 +77,10 @@ struct MicroBatcherOptions {
   // Window size in examples. 64 fills exactly one word of the bitsliced
   // pass; larger windows trade latency for fewer dispatches.
   std::size_t max_batch = 64;
-  // How long a blocking request may wait for the window to fill before the
-  // partial batch is dispatched anyway. 0 = dispatch immediately (blocking
-  // requests never batch; submit() traffic still packs full windows).
+  // The longest a leader keeps its partial window collecting while an
+  // earlier window is still in flight; an idle engine takes the window at
+  // once whatever max_wait says. 0 = never hold a window back: it queues
+  // behind the in-flight one straight away.
   std::chrono::microseconds max_wait{200};
 };
 
@@ -82,14 +95,14 @@ class MicroBatcher {
   MicroBatcher& operator=(const MicroBatcher&) = delete;
 
   // Blocking: joins the open window and returns this example's class once
-  // the window dispatches (full, or max_wait elapsed).
+  // the window has been dispatched (see the batching policy above).
   int predict_one(const BitVector& example_bits);
 
   class Ticket;
   // Async: joins the open window and returns immediately. The window
   // dispatches inline (on the submitting thread) when it fills; otherwise
-  // the result materializes on flush(), on a blocking request's timeout, or
-  // when get() runs out its own max_wait.
+  // the result materializes on flush(), when a blocking request leads the
+  // window out, or when get() leads it out itself.
   Ticket submit(const BitVector& example_bits);
 
   // Dispatches the open partial window, if any. Called by the destructor.
@@ -97,7 +110,8 @@ class MicroBatcher {
 
   // Snapshot of the serving counters (serve/serve_stats.h): requests
   // (cache hits included — every prediction returned counts), dispatched
-  // windows, leader-timeout dispatches, the window-fill histogram, and the
+  // windows, windows a leader sent out on max_wait behind a busy engine,
+  // the window-fill histogram, and the
   // Runtime cache's counters. Monotonic; racing reads see a consistent
   // snapshot. The network-layer fields (errors, connections) stay zero
   // here — the NetServer fills them in its own snapshot.
@@ -110,10 +124,12 @@ class MicroBatcher {
     // dispatch inserts without rehashing (unset and unused when the
     // Runtime has no cache).
     std::vector<PredictCache::Key> keys;
+    // max_batch slots; the dispatch predicts the whole window into them.
     std::vector<int> results;
+    std::size_t unread = 0;   // joined requests yet to read their result
     bool closed = false;      // no longer accepting joins; a dispatch is owed
     bool done = false;        // results are valid
-    bool has_leader = false;  // a blocking request has armed max_wait
+    bool has_leader = false;  // a blocking request waits to lead it out
     std::condition_variable cv;
   };
 
@@ -121,25 +137,26 @@ class MicroBatcher {
   // caller's slot; closes + claims the window when this join fills it
   // (*dispatch_claimed). A `blocking` join becomes the window's leader
   // (*leader) when it is the first blocking request — submit() joins never
-  // lead, so a blocking request arriving after async ones still arms the
-  // max_wait timeout.
+  // lead, so a blocking request arriving after async ones still leads.
   // `key` is the example's cache key from probe_cache.
   std::shared_ptr<Batch> join(const BitVector& example_bits,
                               const PredictCache::Key& key, bool blocking,
                               std::size_t* index, bool* dispatch_claimed,
                               bool* leader);
-  // Marks `batch` closed and detaches it from the open slot. Returns true
-  // when the caller claimed the (single) dispatch. Requires mu_.
+  // Marks `batch` closed, detaches it from the open slot and counts it in
+  // flight. Returns true when the caller claimed the (single) dispatch.
+  // Requires mu_.
   bool try_close(const std::shared_ptr<Batch>& batch);
-  // Packs, predicts and publishes results for a closed batch. `timed_out`
-  // marks a leader-timeout dispatch (a partial window that went out because
-  // its oldest blocking request ran out of max_wait) for the stats.
+  // Packs, predicts and publishes results for a closed batch, then wakes
+  // the open window's leader if the engine went idle. `timed_out` marks a
+  // window a leader sent out on max_wait behind a busy engine (stats).
   void dispatch(const std::shared_ptr<Batch>& batch, bool timed_out = false);
   // Packs `batch` into window_ (rows past its fill zeroed). Requires
   // dispatch_mu_.
   void pack_window(const Batch& batch);
-  // Blocks until `batch` is done, dispatching it on timeout if nobody else
-  // has. Returns the result at `index`.
+  // Blocks until `batch` is done; a `leader` dispatches it first when the
+  // batching policy says so. Returns the result at `index` and recycles
+  // the batch once every request in it has read its result.
   int await(const std::shared_ptr<Batch>& batch, std::size_t index,
             bool leader);
   // Cache probe shared by both entry points. True = *prediction is the
@@ -153,10 +170,16 @@ class MicroBatcher {
   const Runtime* runtime_;
   MicroBatcherOptions options_;
 
-  mutable std::mutex mu_;   // guards open_, batch states and the stats
+  // guards open_, in_flight_, free_batches_, batch states and the stats
+  mutable std::mutex mu_;
   std::mutex dispatch_mu_;  // serializes packing + Runtime::predict calls
   BitMatrix window_;        // the packed window; guarded by dispatch_mu_
   std::shared_ptr<Batch> open_;
+  // Closed windows whose dispatch has not yet published results; 0 means
+  // the engine is idle and a waiting leader dispatches at once.
+  std::size_t in_flight_ = 0;
+  // Finished windows every request has read, reset for reuse.
+  std::vector<std::shared_ptr<Batch>> free_batches_;
   ServeStats stats_;
   // Requests answered straight from the cache — kept out of mu_ so the
   // lock-free hit path stays lock-free; stats() folds them into requests.
@@ -165,10 +188,13 @@ class MicroBatcher {
   friend class Ticket;
 };
 
-// Handle to one submitted example. get() may be called once from any
-// thread; the ticket (and the example bits it refers to) must not outlive
-// the MicroBatcher. A cache hit hands back an already-resolved ticket
-// (no batch behind it) whose get() returns immediately.
+// Handle to one submitted example. get() may be called from any thread;
+// it leads the window out if the window is still open (see the batching
+// policy) and lets go of the window once it has the result, so later
+// calls return the same result at once. The first get() must run before
+// the MicroBatcher is destroyed, and the example bits must stay alive
+// until it returns. A cache hit hands back an already-resolved ticket (no
+// batch behind it).
 class MicroBatcher::Ticket {
  public:
   int get();

@@ -70,6 +70,10 @@ struct NetServerOptions {
   // one-request-per-dispatch baseline.
   bool micro_batch = true;
   std::size_t max_batch = 64;
+  // MicroBatcherOptions::max_wait: the longest a partial window keeps
+  // collecting while an earlier window is in flight. A connection leads its
+  // round's last window out as soon as the engine is idle, so an idle
+  // server answers at once whatever this says.
   std::chrono::microseconds max_wait{200};
   // Cap on a mid-frame read stall or a blocked response write. Idle
   // connections (no partial frame) may stay open indefinitely.

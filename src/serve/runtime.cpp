@@ -222,6 +222,14 @@ IoStatus Runtime::reload(const std::string& path) {
 
 std::vector<int> Runtime::predict_on(const ModelVersion& version,
                                      const BitMatrix& features) const {
+  std::vector<int> predictions(features.rows());
+  predict_on(version, features, predictions);
+  return predictions;
+}
+
+void Runtime::predict_on(const ModelVersion& version,
+                         const BitMatrix& features,
+                         std::span<int> predictions) const {
   // The engine pool is not re-entrant: dataset passes from concurrent
   // callers (and from mutators) queue here instead of aborting.
   std::lock_guard<std::mutex> lock(state_->engine_mu);
@@ -234,7 +242,7 @@ std::vector<int> Runtime::predict_on(const ModelVersion& version,
     conv_bits = version.conv->eval_dataset_batched(features, *state_->engine);
     input = &conv_bits;
   }
-  return state_->engine->predict_dataset(version.model, *input);
+  state_->engine->predict_dataset(version.model, *input, predictions);
 }
 
 std::vector<int> Runtime::predict(const BitMatrix& features) const {
@@ -242,10 +250,10 @@ std::vector<int> Runtime::predict(const BitMatrix& features) const {
   return predict_on(*snap, features);
 }
 
-std::vector<int> Runtime::predict_snapshot(const Snapshot& snap,
-                                           const BitMatrix& features) const {
+void Runtime::predict_snapshot(const Snapshot& snap, const BitMatrix& features,
+                               std::span<int> predictions) const {
   POETBIN_CHECK_MSG(snap != nullptr, "predict_snapshot() on a null snapshot");
-  return predict_on(*snap, features);
+  predict_on(*snap, features, predictions);
 }
 
 double Runtime::accuracy(const BitMatrix& features,

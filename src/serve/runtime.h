@@ -56,6 +56,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -194,12 +195,13 @@ class Runtime {
 
   // Dataset-level requests; callers may overlap (they queue on the engine).
   std::vector<int> predict(const BitMatrix& features) const;
-  // Dataset predict pinned to a caller-held snapshot. The MicroBatcher
-  // dispatches windows through this so it can tag its cache inserts with
-  // the version that actually computed them (never the version that
-  // happens to be current by insert time).
-  std::vector<int> predict_snapshot(const Snapshot& snap,
-                                    const BitMatrix& features) const;
+  // Dataset predict pinned to a caller-held snapshot, into a caller buffer
+  // of features.rows() entries. The MicroBatcher dispatches windows
+  // through this so it can tag its cache inserts with the version that
+  // actually computed them (never the version that happens to be current
+  // by insert time), and reuses one buffer per window.
+  void predict_snapshot(const Snapshot& snap, const BitMatrix& features,
+                        std::span<int> predictions) const;
   double accuracy(const BitMatrix& features,
                   const std::vector<int>& labels) const;
   BitMatrix rinc_outputs(const BitMatrix& features) const;
@@ -262,6 +264,8 @@ class Runtime {
                std::shared_ptr<const RincConvLayer> conv = nullptr);
   std::vector<int> predict_on(const ModelVersion& version,
                               const BitMatrix& features) const;
+  void predict_on(const ModelVersion& version, const BitMatrix& features,
+                  std::span<int> predictions) const;
 
   std::unique_ptr<State> state_;
 };

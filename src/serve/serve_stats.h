@@ -5,7 +5,7 @@
 // of ad-hoc per-class counters, so benches, the load generator and the CI
 // smoke all read one shape: how many requests were answered, how many
 // micro-batch windows were dispatched (and how full they were), how many
-// windows went out on a leader timeout rather than full, how many
+// windows a leader sent out on max_wait behind a busy engine, how many
 // protocol/config errors and connections a network front end saw, and what
 // the prediction cache (serve/predict_cache.h) did in front of it all.
 //
@@ -28,7 +28,10 @@ struct ServeStats {
 
   std::uint64_t requests = 0;     // predictions returned
   std::uint64_t batches = 0;      // micro-batch windows dispatched
-  std::uint64_t timeouts = 0;     // windows dispatched by leader timeout
+  // Windows a leader sent out because max_wait ran out while an earlier
+  // window was still in flight (an idle engine takes a window at once, and
+  // that is not a timeout).
+  std::uint64_t timeouts = 0;
   std::uint64_t errors = 0;       // protocol/config errors (network layer)
   std::uint64_t connections = 0;  // accepted connections (network layer)
   std::array<std::uint64_t, kFillBuckets> window_fill{};
@@ -46,7 +49,7 @@ struct ServeStats {
                                  std::size_t max_batch);
 
   // Records one dispatched window: batches, the fill histogram, and
-  // timeouts when the dispatch was a leader-timeout partial. (requests is
+  // timeouts when a leader sent it out on max_wait. (requests is
   // deliberately separate — a window's examples may be counted as they
   // complete, not when the window closes.)
   void record_window(std::size_t batch_size, std::size_t max_batch,

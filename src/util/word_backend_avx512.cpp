@@ -22,9 +22,6 @@
 
 #include <immintrin.h>
 
-#include <iterator>
-#include <vector>
-
 #include "util/word_backend_impl.h"
 
 namespace poetbin {
@@ -97,7 +94,7 @@ void lut_reduce_words_avx512(const std::uint64_t* splat, std::size_t arity,
   static constexpr Kernel kKernels[] = {
       lut_reduce_words<3>, lut_reduce_words<4>, lut_reduce_words<5>,
       lut_reduce_words<6>, lut_reduce_words<7>, lut_reduce_words<8>};
-  if (arity >= 3 && arity - 3 < std::size(kKernels)) {
+  if (arity >= 3 && arity - 3 < sizeof(kKernels) / sizeof(kKernels[0])) {
     kKernels[arity - 3](splat, columns, base, word_begin, word_end, out);
     return;
   }
@@ -116,21 +113,23 @@ void lut_reduce_avx512(const std::uint64_t* splat, std::size_t arity,
                             out);
     return;
   }
-  // 64-byte-aligned WordVec storage (vector<__m512i> would trip
-  // -Wignored-attributes) with one vector per kBlock words.
-  static thread_local WordVec vsplat;
-  static thread_local WordVec scratch;
+  // Per-thread, 64-byte-aligned word scratch (word_impl::ScratchWords),
+  // one vector per kBlock words.
+  static thread_local word_impl::ScratchWords vsplat_buf;
+  static thread_local word_impl::ScratchWords scratch_buf;
   const std::size_t table_size = std::size_t{1} << arity;
-  if (vsplat.size() < table_size * kBlock) vsplat.resize(table_size * kBlock);
+  std::uint64_t* vsplat =
+      word_impl::scratch_words(vsplat_buf, table_size * kBlock);
   for (std::size_t a = 0; a < table_size; ++a) {
     for (std::size_t l = 0; l < kBlock; ++l) {
       vsplat[a * kBlock + l] = splat[a];
     }
   }
   const std::size_t half = arity == 0 ? 0 : table_size / 2;
-  if (scratch.size() < half * kBlock) scratch.resize(half * kBlock);
-  auto at = [](WordVec& v, std::size_t k) {
-    return _mm512_load_si512(v.data() + k * kBlock);
+  std::uint64_t* scratch =
+      word_impl::scratch_words(scratch_buf, half * kBlock);
+  auto at = [](const std::uint64_t* v, std::size_t k) {
+    return _mm512_load_si512(v + k * kBlock);
   };
 
   for (std::size_t blk = 0; blk < blocks; ++blk) {
@@ -142,14 +141,14 @@ void lut_reduce_avx512(const std::uint64_t* splat, std::size_t arity,
     std::size_t h = half;
     const __m512i x0 = _mm512_loadu_si512(columns[0] + (w - base));
     for (std::size_t k = 0; k < h; ++k) {
-      _mm512_store_si512(scratch.data() + k * kBlock,
+      _mm512_store_si512(scratch + k * kBlock,
                          mux(at(vsplat, 2 * k), at(vsplat, 2 * k + 1), x0));
     }
     for (std::size_t j = 1; j < arity; ++j) {
       h >>= 1;
       const __m512i x = _mm512_loadu_si512(columns[j] + (w - base));
       for (std::size_t k = 0; k < h; ++k) {
-        _mm512_store_si512(scratch.data() + k * kBlock,
+        _mm512_store_si512(scratch + k * kBlock,
                            mux(at(scratch, 2 * k), at(scratch, 2 * k + 1), x));
       }
     }

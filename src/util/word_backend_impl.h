@@ -11,23 +11,56 @@
 // TU is compiled with its own ISA flags and auto-vectorizes them at that
 // width, and internal linkage keeps every TU on its own build of them —
 // with external linkage the linker keeps one copy, and the scalar64 table
-// could end up calling the AVX-512 build of a body. That guarantee covers
-// these bodies only, not the inline functions with external linkage they
-// call from other headers (the standard-library vector members behind the
-// thread-local scratch). entropy_sum is the one body that is not here: it
-// is defined once, in the scalar64 TU, so no SIMD TU compiles
-// dt/entropy.h at all.
+// could end up calling the AVX-512 build of a body. The same holds for any
+// inline function with external linkage a SIMD TU instantiates, the
+// standard library's included, so the per-thread kernel scratch is a
+// ScratchWords whose growth and destructor live in the scalar64 TU, and
+// the one body that needs pointer tables (argmax_update_tail) is defined
+// there too. The check_simd_symbols ctest fails if a SIMD object defines
+// a weak std:: symbol. entropy_sum is defined once, in the scalar64 TU,
+// so no SIMD TU compiles dt/entropy.h at all.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "util/aligned_vector.h"
 
 namespace poetbin::word_impl {
+
+// Per-thread, 64-byte-aligned kernel scratch words. Grown (contents not
+// kept) and freed out of line in a baseline-compiled TU; the SIMD TUs only
+// hold `static thread_local` instances and read them through
+// scratch_words().
+struct ScratchWords {
+  std::uint64_t* data = nullptr;
+  std::size_t size = 0;  // in words
+
+  ScratchWords() = default;
+  ScratchWords(const ScratchWords&) = delete;
+  ScratchWords& operator=(const ScratchWords&) = delete;
+  ~ScratchWords();
+};
+
+// Replaces `scratch`'s storage with at least `n_words` words.
+void grow_scratch(ScratchWords& scratch, std::size_t n_words);
+
+// Scalar comparator over the words [offset, n_words) of every plane: the
+// ragged tail of the SIMD argmax_update implementations, single-sourced so
+// their remainder paths cannot diverge.
+void argmax_update_tail(const std::uint64_t* const* cand_planes,
+                        std::uint64_t* const* best_planes,
+                        std::size_t n_planes,
+                        std::uint64_t* const* class_planes,
+                        std::size_t n_class_planes, std::uint32_t class_index,
+                        std::size_t offset, std::size_t n_words);
+
 namespace {
+
+// At least `n_words` words of `scratch`; contents are unspecified.
+inline std::uint64_t* scratch_words(ScratchWords& scratch,
+                                    std::size_t n_words) {
+  if (scratch.size < n_words) grow_scratch(scratch, n_words);
+  return scratch.data;
+}
 
 // One word of LUT output from `arity` input words: Shannon-reduce the
 // splatted truth table over the top address bit first, then the next, ...
@@ -71,15 +104,14 @@ inline void lut_reduce(const std::uint64_t* splat, std::size_t arity,
     return;
   }
   // Reused across calls: one allocation per thread, not one per chunk.
-  static thread_local WordVec scratch;
-  static thread_local WordVec in;
-  const std::size_t half = std::size_t{1} << (arity - 1);
-  if (scratch.size() < half) scratch.resize(half);
-  if (in.size() < arity) in.resize(arity);
+  static thread_local ScratchWords scratch_buf;
+  static thread_local ScratchWords in_buf;
+  std::uint64_t* scratch =
+      scratch_words(scratch_buf, std::size_t{1} << (arity - 1));
+  std::uint64_t* in = scratch_words(in_buf, arity);
   for (std::size_t w = word_begin; w < word_end; ++w) {
     for (std::size_t j = 0; j < arity; ++j) in[j] = columns[j][w - base];
-    out[w - word_begin] =
-        shannon_reduce(splat, arity, in.data(), scratch.data());
+    out[w - word_begin] = shannon_reduce(splat, arity, in, scratch);
   }
 }
 
@@ -103,10 +135,12 @@ inline void not_words(const std::uint64_t* a, std::uint64_t* dst,
   for (std::size_t w = 0; w < n_words; ++w) dst[w] = ~a[w];
 }
 
+// The builtin, not std::popcount: an unoptimized build emits std::popcount
+// out of line, as a weak symbol each SIMD TU would compile for its own ISA.
 inline std::size_t popcount_words(const std::uint64_t* a, std::size_t n_words) {
   std::size_t total = 0;
   for (std::size_t w = 0; w < n_words; ++w) {
-    total += static_cast<std::size_t>(std::popcount(a[w]));
+    total += static_cast<std::size_t>(__builtin_popcountll(a[w]));
   }
   return total;
 }
@@ -115,7 +149,7 @@ inline std::size_t hamming_words(const std::uint64_t* a, const std::uint64_t* b,
                                  std::size_t n_words) {
   std::size_t total = 0;
   for (std::size_t w = 0; w < n_words; ++w) {
-    total += static_cast<std::size_t>(std::popcount(a[w] ^ b[w]));
+    total += static_cast<std::size_t>(__builtin_popcountll(a[w] ^ b[w]));
   }
   return total;
 }
@@ -148,35 +182,6 @@ inline void argmax_update(const std::uint64_t* const* cand_planes,
       }
     }
   }
-}
-
-// Tail driver for SIMD argmax_update implementations: rebases every plane
-// pointer by `offset` words and runs the scalar comparator on the
-// remainder. Single-sourced so the AVX2/AVX-512 remainder paths cannot
-// diverge.
-inline void argmax_update_tail(const std::uint64_t* const* cand_planes,
-                               std::uint64_t* const* best_planes,
-                               std::size_t n_planes,
-                               std::uint64_t* const* class_planes,
-                               std::size_t n_class_planes,
-                               std::uint32_t class_index, std::size_t offset,
-                               std::size_t n_words) {
-  if (offset >= n_words) return;
-  static thread_local std::vector<const std::uint64_t*> ctail;
-  static thread_local std::vector<std::uint64_t*> btail;
-  static thread_local std::vector<std::uint64_t*> qtail;
-  ctail.resize(n_planes);
-  btail.resize(n_planes);
-  qtail.resize(n_class_planes);
-  for (std::size_t p = 0; p < n_planes; ++p) {
-    ctail[p] = cand_planes[p] + offset;
-    btail[p] = best_planes[p] + offset;
-  }
-  for (std::size_t q = 0; q < n_class_planes; ++q) {
-    qtail[q] = class_planes[q] + offset;
-  }
-  argmax_update(ctail.data(), btail.data(), n_planes, qtail.data(),
-                n_class_planes, class_index, n_words - offset);
 }
 
 inline void scale_by_mask(const std::uint64_t* bits, std::size_t n_bits,

@@ -41,21 +41,23 @@ void lut_reduce_neon(const std::uint64_t* splat, std::size_t arity,
   }
   // Broadcast the splatted table once per call (amortized over the whole
   // word range); scratch holds the live half-table between reduction
-  // levels. Both live in 64-byte-aligned WordVec storage, one vector per
-  // kBlock words.
-  static thread_local WordVec vsplat;
-  static thread_local WordVec scratch;
+  // levels. Both live in per-thread, 64-byte-aligned word scratch
+  // (word_impl::ScratchWords), one vector per kBlock words.
+  static thread_local word_impl::ScratchWords vsplat_buf;
+  static thread_local word_impl::ScratchWords scratch_buf;
   const std::size_t table_size = std::size_t{1} << arity;
-  if (vsplat.size() < table_size * kBlock) vsplat.resize(table_size * kBlock);
+  std::uint64_t* vsplat =
+      word_impl::scratch_words(vsplat_buf, table_size * kBlock);
   for (std::size_t a = 0; a < table_size; ++a) {
     for (std::size_t l = 0; l < kBlock; ++l) {
       vsplat[a * kBlock + l] = splat[a];
     }
   }
   const std::size_t half = arity == 0 ? 0 : table_size / 2;
-  if (scratch.size() < half * kBlock) scratch.resize(half * kBlock);
-  auto at = [](WordVec& v, std::size_t k) {
-    return vld1q_u64(v.data() + k * kBlock);
+  std::uint64_t* scratch =
+      word_impl::scratch_words(scratch_buf, half * kBlock);
+  auto at = [](const std::uint64_t* v, std::size_t k) {
+    return vld1q_u64(v + k * kBlock);
   };
 
   for (std::size_t blk = 0; blk < blocks; ++blk) {
@@ -67,14 +69,14 @@ void lut_reduce_neon(const std::uint64_t* splat, std::size_t arity,
     std::size_t h = half;
     const uint64x2_t x0 = vld1q_u64(columns[0] + (w - base));
     for (std::size_t k = 0; k < h; ++k) {
-      vst1q_u64(scratch.data() + k * kBlock,
+      vst1q_u64(scratch + k * kBlock,
                 mux(at(vsplat, 2 * k), at(vsplat, 2 * k + 1), x0));
     }
     for (std::size_t j = 1; j < arity; ++j) {
       h >>= 1;
       const uint64x2_t x = vld1q_u64(columns[j] + (w - base));
       for (std::size_t k = 0; k < h; ++k) {
-        vst1q_u64(scratch.data() + k * kBlock,
+        vst1q_u64(scratch + k * kBlock,
                   mux(at(scratch, 2 * k), at(scratch, 2 * k + 1), x));
       }
     }

@@ -4,13 +4,16 @@
 // the per-thread kernel scratch has grown on first use, a Runtime::predict
 // of such a window may allocate only its result vector and the job
 // closure of the engine's parallel_for — not per-module child buffers or
-// per-LUT pointer tables. This binary replaces the global operator new to
-// count allocations made by the test thread while a predict runs.
+// per-LUT pointer tables. Around that pass, a warm MicroBatcher window
+// (submits, pack, predict, gets) reuses its batch, result slots and packed
+// matrix. This binary replaces the global operator new to count
+// allocations made by the test thread while a window runs.
 //
 // Sanitizer builds own the allocator, so CMake builds this test only when
 // POETBIN_SANITIZE is off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "core/poetbin.h"
+#include "serve/micro_batcher.h"
 #include "serve/runtime.h"
 #include "test_util.h"
 #include "util/bit_matrix.h"
@@ -121,6 +125,45 @@ TEST(AllocFreeWindow, WarmDenseWindowPredictAllocatesAtMostTwice) {
         count_allocations([&] { got = runtime.predict(window); });
     EXPECT_EQ(got, expected) << word_backend_name(backend);
     EXPECT_LE(allocations, 2u) << word_backend_name(backend);
+  }
+}
+
+// The whole serving loop of one window: 64 submits fill it and dispatch it
+// inline on this thread, 64 gets read it back. Warm, the batch comes off
+// the batcher's free list and the pass predicts into its result slots.
+TEST(AllocFreeWindow, WarmMicroBatcherWindowAllocatesNothing) {
+  Rng rng(41);
+  const PoetBin model = testing::random_rinc1_model(
+      /*n_classes=*/10, /*p=*/6, /*n_features=*/256, rng);
+  const BitMatrix window = testing::random_bits(64, 256, 43);
+  std::vector<BitVector> rows;
+  std::vector<int> expected;
+  for (std::size_t i = 0; i < window.rows(); ++i) {
+    rows.push_back(window.row(i));
+    expected.push_back(model.predict(rows.back()));
+  }
+  testing::BackendGuard guard;
+  for (const auto backend : available_word_backends()) {
+    set_word_backend(backend);
+    const Runtime runtime(model, {.threads = 1});
+    MicroBatcher batcher(runtime, {.max_batch = 64});
+    std::vector<MicroBatcher::Ticket> tickets;
+    tickets.reserve(rows.size());
+    std::vector<int> got(rows.size(), -1);
+    const auto run_window = [&] {
+      tickets.clear();
+      for (const BitVector& row : rows) tickets.push_back(batcher.submit(row));
+      for (std::size_t i = 0; i < tickets.size(); ++i) {
+        got[i] = tickets[i].get();
+      }
+    };
+    run_window();  // warm-up: the batch, the window matrix, kernel scratch
+    ASSERT_EQ(got, expected) << word_backend_name(backend);
+    std::fill(got.begin(), got.end(), -1);
+    const std::size_t allocations = count_allocations(run_window);
+    EXPECT_EQ(got, expected) << word_backend_name(backend);
+    EXPECT_EQ(allocations, 0u) << word_backend_name(backend);
+    EXPECT_EQ(batcher.stats().batches, 2u) << word_backend_name(backend);
   }
 }
 

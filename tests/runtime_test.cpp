@@ -185,39 +185,76 @@ TEST(MicroBatcher, SubmitPacksFullWindows) {
   EXPECT_DOUBLE_EQ(stats.mean_window_fill(), 600.0 / 10.0);
 }
 
-TEST(MicroBatcher, BlockingRequestTimesOutAlone) {
+// The batching policy is work-conserving: with nothing else in flight, a
+// waiting leader dispatches its partial window at once. max_wait is 10 s
+// in these tests, so a request that sat out the timer would blow the 1 s
+// bound by an order of magnitude.
+constexpr auto kLongWait = std::chrono::seconds(10);
+constexpr auto kPromptly = std::chrono::seconds(1);
+
+TEST(MicroBatcher, BlockingRequestAloneDispatchesAtOnce) {
   const ServeFixture& fx = fixture();
   const Runtime runtime(fx.model, {.threads = 1});
-  // Nobody else joins the window: the leader must dispatch its partial
-  // batch after max_wait and still match the scalar path.
-  MicroBatcher batcher(runtime,
-                       {.max_batch = 64,
-                        .max_wait = std::chrono::microseconds(500)});
+  // Nobody else joins the window and the engine is idle: the leader must
+  // dispatch its partial batch without waiting and match the scalar path.
+  MicroBatcher batcher(runtime, {.max_batch = 64, .max_wait = kLongWait});
+  const auto start = std::chrono::steady_clock::now();
   EXPECT_EQ(batcher.predict_one(fx.rows[0]), fx.scalar_preds[0]);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kPromptly);
   const ServeStats stats = batcher.stats();
   EXPECT_EQ(stats.requests, 1u);
   EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.timeouts, 1u);  // the partial window went out on max_wait
+  EXPECT_EQ(stats.timeouts, 0u);  // an idle engine is not a timeout
   EXPECT_EQ(stats.window_fill[0], 1u);  // 1/64 fill -> first bucket
 }
 
-TEST(MicroBatcher, BlockingRequestAfterAsyncSubmitStillTimesOut) {
+TEST(MicroBatcher, BlockingRequestAfterAsyncSubmitDispatchesAtOnce) {
   const ServeFixture& fx = fixture();
   const Runtime runtime(fx.model, {.threads = 1});
-  MicroBatcher batcher(runtime,
-                       {.max_batch = 64,
-                        .max_wait = std::chrono::microseconds(500)});
+  MicroBatcher batcher(runtime, {.max_batch = 64, .max_wait = kLongWait});
   // A submit() opens the window, so the blocking request lands in slot 1.
-  // It must still become the leader and dispatch the window after
-  // max_wait — leadership follows the first *blocking* request, not
-  // slot 0 (a slot-0-only rule left this predict_one waiting forever).
+  // It must still lead the window out — leadership follows the first
+  // *blocking* request, not slot 0 (a slot-0-only rule left this
+  // predict_one waiting forever) — and take the submitted example along.
+  const auto start = std::chrono::steady_clock::now();
   MicroBatcher::Ticket ticket = batcher.submit(fx.rows[0]);
   EXPECT_EQ(batcher.predict_one(fx.rows[1]), fx.scalar_preds[1]);
   EXPECT_EQ(ticket.get(), fx.scalar_preds[0]);
+  EXPECT_EQ(ticket.get(), fx.scalar_preds[0]);  // get() again: same answer
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kPromptly);
   const ServeStats stats = batcher.stats();
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.timeouts, 0u);
+}
+
+// Eight blocking producers with a 10 s max_wait: every window either goes
+// out on an idle engine or is woken by the in-flight window's completion,
+// so the run finishes far inside one max_wait and no request is stranded
+// on the timer.
+TEST(MicroBatcher, ConcurrentProducersNeverWaitOutMaxWait) {
+  const ServeFixture& fx = fixture();
+  const Runtime runtime(fx.model, {.threads = 1});
+  MicroBatcher batcher(runtime, {.max_batch = 64, .max_wait = kLongWait});
+  const std::size_t n_producers = 8;
+  const std::size_t n = fx.rows.size();
+  std::vector<int> served(n, -1);
+  std::vector<std::thread> producers;
+  producers.reserve(n_producers);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t t = 0; t < n_producers; ++t) {
+    producers.emplace_back([&, t] {
+      for (std::size_t i = t; i < n; i += n_producers) {
+        served[i] = batcher.predict_one(fx.rows[i]);
+      }
+    });
+  }
+  for (auto& producer : producers) producer.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kPromptly);
+  EXPECT_EQ(served, fx.scalar_preds);
+  const ServeStats stats = batcher.stats();
+  EXPECT_EQ(stats.requests, n);
+  EXPECT_EQ(stats.timeouts, 0u);
 }
 
 TEST(MicroBatcher, ZeroWaitDispatchesImmediately) {
